@@ -15,7 +15,7 @@ use ipa_core::{
     builtin_registry, instantiate_code, run_analyzer_batch, AnalysisCode, Analyzer,
     HiggsSearchAnalyzer,
 };
-use ipa_dataset::{AnyRecord, ColumnBatch, EventGeneratorConfig};
+use ipa_dataset::{ColumnBatch, EventGeneratorConfig, RecordBatch};
 use ipa_script::{AidaHost, ScriptBackend, ScriptFusion};
 
 const SCRIPT: &str = r#"
@@ -31,7 +31,7 @@ const SCRIPT: &str = r#"
 "#;
 
 /// Full native-analyzer lifecycle over one batch, row or columnar.
-fn run_native(records: &Arc<Vec<AnyRecord>>, columns: Option<&Arc<ColumnBatch>>) -> AidaHost {
+fn run_native(records: &RecordBatch, columns: Option<&Arc<ColumnBatch>>) -> AidaHost {
     let mut host = AidaHost::new();
     run_analyzer_batch(
         &mut HiggsSearchAnalyzer::default(),
@@ -46,7 +46,7 @@ fn run_native(records: &Arc<Vec<AnyRecord>>, columns: Option<&Arc<ColumnBatch>>)
 /// Same lifecycle through the IPAScript VM (column-bound when columnar).
 fn run_script(
     analyzer: &mut dyn Analyzer,
-    records: &Arc<Vec<AnyRecord>>,
+    records: &RecordBatch,
     columns: Option<&Arc<ColumnBatch>>,
 ) -> AidaHost {
     let mut host = AidaHost::new();
@@ -65,7 +65,7 @@ fn script_analyzer() -> Box<dyn Analyzer> {
 }
 
 fn bench_data_layout(c: &mut Criterion) {
-    let records = Arc::new(
+    let records = RecordBatch::new(
         EventGeneratorConfig {
             events: 20_000,
             signal_fraction: 0.4,

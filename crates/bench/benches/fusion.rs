@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ipa_dataset::{AnyRecord, ColumnBatch, EventGeneratorConfig};
+use ipa_dataset::{ColumnBatch, EventGeneratorConfig, RecordBatch};
 use ipa_script::{
     compile, engine_for, run_fused, AidaHost, BatchKernel, Program, ScriptBackend, ScriptFusion,
 };
@@ -35,7 +35,7 @@ const SCRIPT: &str = r#"
 /// the shared `run_fused` dispatch.
 fn run_mode(
     program: &Program,
-    records: &Arc<Vec<AnyRecord>>,
+    records: &RecordBatch,
     columns: &Arc<ColumnBatch>,
     backend: ScriptBackend,
     fusion: ScriptFusion,
@@ -61,7 +61,7 @@ fn run_mode(
 }
 
 fn bench_fusion(c: &mut Criterion) {
-    let records = Arc::new(
+    let records = RecordBatch::new(
         EventGeneratorConfig {
             events: 20_000,
             signal_fraction: 0.4,

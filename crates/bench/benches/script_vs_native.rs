@@ -4,11 +4,9 @@
 //! editability — and how much of it the bytecode VM claws back over the
 //! tree-walk.
 
-use std::sync::Arc;
-
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ipa_core::{run_analyzer_serial, HiggsSearchAnalyzer};
-use ipa_dataset::{AnyRecord, EventGeneratorConfig};
+use ipa_dataset::{EventGeneratorConfig, RecordBatch};
 use ipa_script::{compile, engine_for, AidaHost, Program, RecordRef, ScriptBackend, ScriptFusion};
 
 const SCRIPT: &str = r#"
@@ -21,17 +19,13 @@ const SCRIPT: &str = r#"
 
 /// Run the full analysis lifecycle on one backend, sharing the batch the
 /// way the engine hot path does (`RecordRef::batch` — no record copies).
-fn run_backend(
-    program: &Program,
-    records: &Arc<Vec<AnyRecord>>,
-    backend: ScriptBackend,
-) -> AidaHost {
+fn run_backend(program: &Program, records: &RecordBatch, backend: ScriptBackend) -> AidaHost {
     let mut host = AidaHost::new();
     let mut engine = engine_for(program, backend, ScriptFusion::Off).unwrap();
     engine.run_init(&mut host).unwrap();
     for i in 0..records.len() {
         engine
-            .process(&mut host, RecordRef::batch(Arc::clone(records), i))
+            .process(&mut host, RecordRef::batch(records, i))
             .unwrap();
     }
     engine.run_end(&mut host).unwrap();
@@ -39,7 +33,7 @@ fn run_backend(
 }
 
 fn bench_code_paths(c: &mut Criterion) {
-    let records = Arc::new(
+    let records = RecordBatch::new(
         EventGeneratorConfig {
             events: 2_000,
             ..Default::default()

@@ -96,8 +96,8 @@ fn bench_staging(c: &mut Criterion) {
         assert!(!miss.from_cache && hit.from_cache);
         for (a, b) in miss.parts.iter().zip(&hit.parts) {
             assert!(
-                std::sync::Arc::ptr_eq(a, b),
-                "cache hit must return the staged part buffers themselves"
+                a.same_view(b),
+                "cache hit must return the staged part views themselves"
             );
         }
     }

@@ -773,7 +773,7 @@ fn perf_cmd() {
         }
     "#;
     let fusion_events = 20_000u64;
-    let frecords = std::sync::Arc::new(
+    let frecords = ipa_dataset::RecordBatch::new(
         ipa_dataset::EventGeneratorConfig {
             events: fusion_events,
             signal_fraction: 0.4,

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use ipa_dataset::{AnyRecord, ColumnBatch, RecordFields};
+use ipa_dataset::{AnyRecord, ColumnBatch, RecordBatch, RecordFields};
 use ipa_script::{
     compile, engine_for, run_fused, BatchKernel, Host, RecordRef, ScriptBackend, ScriptEngine,
     ScriptFusion,
@@ -25,13 +25,13 @@ pub trait Analyzer: Send {
     fn init(&mut self, host: &mut dyn Host) -> Result<(), String>;
     /// Called for every record.
     fn process(&mut self, record: &AnyRecord, host: &mut dyn Host) -> Result<(), String>;
-    /// Called for `batch[index]` when the caller owns the batch in an
-    /// `Arc` — the engine hot path. The default delegates to
+    /// Called for `batch[index]` when the caller holds the records as a
+    /// shared [`RecordBatch`] — the engine hot path. The default delegates to
     /// [`Analyzer::process`]; script analyzers override it to hand the
     /// record to user code as a shared handle instead of a deep copy.
     fn process_indexed(
         &mut self,
-        batch: &Arc<Vec<AnyRecord>>,
+        batch: &RecordBatch,
         index: usize,
         host: &mut dyn Host,
     ) -> Result<(), String> {
@@ -49,7 +49,7 @@ pub trait Analyzer: Send {
     /// `FailAfter` injection, which must not drift between layouts.
     fn process_batch(
         &mut self,
-        batch: &Arc<Vec<AnyRecord>>,
+        batch: &RecordBatch,
         columns: Option<&Arc<ColumnBatch>>,
         range: Range<usize>,
         host: &mut dyn Host,
@@ -200,20 +200,20 @@ impl Analyzer for ScriptAnalyzer {
 
     fn process_indexed(
         &mut self,
-        batch: &Arc<Vec<AnyRecord>>,
+        batch: &RecordBatch,
         index: usize,
         host: &mut dyn Host,
     ) -> Result<(), String> {
         // Hot path: the script sees `batch[index]` through an Arc handle —
         // no record data is copied, however large the event.
         self.engine
-            .process(host, RecordRef::batch(Arc::clone(batch), index))
+            .process(host, RecordRef::batch(batch, index))
             .map_err(|e| e.to_string())
     }
 
     fn process_batch(
         &mut self,
-        batch: &Arc<Vec<AnyRecord>>,
+        batch: &RecordBatch,
         columns: Option<&Arc<ColumnBatch>>,
         range: Range<usize>,
         host: &mut dyn Host,
@@ -299,7 +299,7 @@ impl Analyzer for HiggsSearchAnalyzer {
 
     fn process_batch(
         &mut self,
-        batch: &Arc<Vec<AnyRecord>>,
+        batch: &RecordBatch,
         columns: Option<&Arc<ColumnBatch>>,
         range: Range<usize>,
         host: &mut dyn Host,
@@ -460,7 +460,7 @@ pub fn run_analyzer_serial(
     records: &[AnyRecord],
     host: &mut dyn Host,
 ) -> Result<(), String> {
-    let batch = Arc::new(records.to_vec());
+    let batch = RecordBatch::new(records.to_vec());
     run_analyzer_batch(analyzer, &batch, None, host)
 }
 
@@ -468,7 +468,7 @@ pub fn run_analyzer_serial(
 /// optional columnar transcode — zero record copies.
 pub fn run_analyzer_batch(
     analyzer: &mut dyn Analyzer,
-    batch: &Arc<Vec<AnyRecord>>,
+    batch: &RecordBatch,
     columns: Option<&Arc<ColumnBatch>>,
     host: &mut dyn Host,
 ) -> Result<(), String> {
@@ -711,40 +711,41 @@ mod tests {
     #[test]
     fn batch_path_shares_records_without_cloning() {
         // Regression for the per-record deep clone: driving a script
-        // through `process_batch` must not copy records — the batch Arc's
-        // strong count is back to 1 afterwards, and no hidden Arc-per-record
-        // wrapping happened along the way.
-        let batch = Arc::new(
+        // through `process_batch` must hand it the batch's own records —
+        // the one the script keeps is the batch's last, at its address.
+        let batch = RecordBatch::new(
             TradeGeneratorConfig {
                 trades: 50,
                 ..Default::default()
             }
             .generate(),
         );
-        let reg = NativeRegistry::new();
-        let script = "fn init() { h1(\"/p\", 20, 0.0, 200.0); }\n\
-                      fn process(t) { fill(\"/p\", t.price); }";
+        let script = "let keep = null;\n\
+                      fn init() { h1(\"/p\", 20, 0.0, 200.0); }\n\
+                      fn process(t) { keep = t; fill(\"/p\", t.price); }";
+        let program = compile(script).unwrap();
         for backend in [ScriptBackend::Interp, ScriptBackend::Vm] {
-            let mut analyzer = instantiate_code(
-                &AnalysisCode::Script(script.into()),
-                &reg,
-                backend,
-                ScriptFusion::from_env(),
-            )
-            .unwrap();
+            let mut analyzer = ScriptAnalyzer {
+                engine: engine_for(&program, backend, ScriptFusion::from_env()).unwrap(),
+                kernel: None,
+            };
             let mut host = AidaHost::new();
             analyzer.init(&mut host).unwrap();
-            assert_eq!(Arc::strong_count(&batch), 1);
             let (done, err) = analyzer.process_batch(&batch, None, 0..batch.len(), &mut host);
             assert_eq!((done, err), (50, None));
-            assert_eq!(Arc::strong_count(&batch), 1, "{backend}");
             assert_eq!(host.tree.get("/p").unwrap().entries(), 50);
+            match analyzer.engine.global("keep") {
+                Some(ipa_script::Value::Record(kept)) => {
+                    assert!(std::ptr::eq(kept.get(), &batch[49]), "{backend}")
+                }
+                other => panic!("{backend}: script kept {other:?}"),
+            }
         }
     }
 
     #[test]
     fn columnar_batch_matches_row_for_native_and_script() {
-        let batch = Arc::new(
+        let batch = RecordBatch::new(
             EventGeneratorConfig {
                 events: 800,
                 signal_fraction: 0.4,
@@ -821,7 +822,7 @@ mod tests {
             }
             .generate(),
         );
-        let batch = Arc::new(records);
+        let batch = RecordBatch::new(records);
         let mut host = AidaHost::new();
         let mut a = HiggsSearchAnalyzer::default();
         a.init(&mut host).unwrap();

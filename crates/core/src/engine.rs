@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use ipa_aida::Tree;
-use ipa_dataset::{AnyRecord, ColumnBatch};
+use ipa_dataset::{ColumnBatch, RecordBatch};
 use ipa_script::{AidaHost, ScriptBackend, ScriptFusion};
 
 use crate::aida_manager::{PartPayload, PartUpdate};
@@ -51,8 +51,8 @@ pub enum EngineCommand {
     AssignPart {
         /// Part id (merge key).
         part: PartId,
-        /// The records (shared, not copied).
-        records: Arc<Vec<AnyRecord>>,
+        /// The records: a view into the published dataset, not a copy.
+        records: RecordBatch,
         /// Columnar transcode of `records` when the data plane staged one
         /// (`DataLayout::Columnar`); `None` keeps the row path.
         columns: Option<Arc<ColumnBatch>>,
@@ -161,7 +161,7 @@ pub enum EngineEvent {
 
 struct CurrentPart {
     id: PartId,
-    records: Arc<Vec<AnyRecord>>,
+    records: RecordBatch,
     columns: Option<Arc<ColumnBatch>>,
     pos: usize,
     done: bool,
@@ -509,7 +509,7 @@ impl EngineWorker {
         let batch_started = Instant::now();
         let mut analyzer = self.analyzer.take().expect("checked above");
         // Hand the whole publish batch to the analyzer at once: script
-        // analyzers share the Arc'd batch (and bind its columns when the
+        // analyzers share the part's records (and bind its columns when the
         // data plane transcoded one) instead of deep-copying records, and
         // vectorizing analyzers turn it into bulk histogram fills. The
         // returned count stays record-exact so FailAfter/RunN/publish
@@ -763,8 +763,8 @@ mod tests {
     use ipa_dataset::EventGeneratorConfig;
     use std::time::Duration;
 
-    fn records(n: u64) -> Arc<Vec<AnyRecord>> {
-        Arc::new(
+    fn records(n: u64) -> RecordBatch {
+        RecordBatch::new(
             EventGeneratorConfig {
                 events: n,
                 ..Default::default()

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use ipa_aida::Tree;
-use ipa_dataset::{AnyRecord, ColumnBatch, DatasetDescriptor, DatasetId};
+use ipa_dataset::{ColumnBatch, DatasetDescriptor, DatasetId, RecordBatch};
 use serde::{Deserialize, Serialize};
 
 use crate::aida_manager::{AidaManager, PublishOutcome, ResultPlaneStats};
@@ -152,7 +152,7 @@ pub struct Session {
     /// `"<base>@<first>..<last>"` range views) — what the journal records
     /// and recovery re-stages through the locator.
     dataset_source: Option<String>,
-    parts: Vec<Arc<Vec<AnyRecord>>>,
+    parts: Vec<RecordBatch>,
     /// Columnar transcodes parallel to `parts` (`None` per part under the
     /// row layout or when a part cannot transcode); shared with engines on
     /// every assignment so rewind/re-assign reuse them with zero copies.

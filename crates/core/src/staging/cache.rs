@@ -2,10 +2,10 @@
 //!
 //! Re-selecting a dataset (or re-splitting for the same engine count after
 //! a rewind) is the interactive loop's hottest repeated cost: the seed
-//! re-split and re-transferred every time. Parts are immutable once cut
-//! (`Arc<Vec<AnyRecord>>`), so the cut for a given `(dataset content,
-//! split spec)` pair can be reused verbatim — a hit costs O(parts) `Arc`
-//! clones and moves zero bytes.
+//! re-split and re-transferred every time. Parts are immutable views
+//! ([`RecordBatch`]) into the published dataset, so the cut for a given
+//! `(dataset content, split spec)` pair can be reused verbatim — a hit
+//! costs O(parts) view clones and touches no record.
 //!
 //! The key is content-addressed through the descriptor (`id`, record
 //! count, byte size): re-publishing a *different* dataset under the same
@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ipa_dataset::{AnyRecord, ColumnBatch, DatasetDescriptor, SplitPlan};
+use ipa_dataset::{ColumnBatch, DatasetDescriptor, RecordBatch, SplitPlan};
 
 use super::SplitSpec;
 
@@ -45,8 +45,8 @@ impl CacheKey {
 /// were cut under.
 #[derive(Debug, Clone)]
 pub struct CachedSplit {
-    /// Shared part buffers (bit-identical to the original cut).
-    pub parts: Vec<Arc<Vec<AnyRecord>>>,
+    /// The parts: views into the dataset the cut was made on.
+    pub parts: Vec<RecordBatch>,
     /// Columnar transcodes parallel to `parts` — keyed by the same
     /// `(dataset content, split spec)` identity, so a hit reuses the
     /// transcode work too (`None` per part under the row layout).
@@ -88,7 +88,7 @@ impl SplitCache {
         &mut self,
         descriptor: &DatasetDescriptor,
         spec: &SplitSpec,
-        parts: &[Arc<Vec<AnyRecord>>],
+        parts: &[RecordBatch],
         columns: &[Option<Arc<ColumnBatch>>],
         plan: &SplitPlan,
     ) {
@@ -130,7 +130,7 @@ impl SplitCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipa_dataset::Dataset;
+    use ipa_dataset::{AnyRecord, Dataset};
 
     fn descriptor(id: &str, n: u64) -> DatasetDescriptor {
         let recs = (0..n)
@@ -155,15 +155,9 @@ mod tests {
         }
     }
 
-    fn cut(
-        n: usize,
-    ) -> (
-        Vec<Arc<Vec<AnyRecord>>>,
-        Vec<Option<Arc<ColumnBatch>>>,
-        SplitPlan,
-    ) {
+    fn cut(n: usize) -> (Vec<RecordBatch>, Vec<Option<Arc<ColumnBatch>>>, SplitPlan) {
         (
-            vec![Arc::new(Vec::new()); n],
+            vec![RecordBatch::new(Vec::new()); n],
             vec![None; n],
             SplitPlan {
                 parts: n,
@@ -173,13 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn hit_returns_same_arcs_and_respects_key() {
+    fn hit_returns_same_views_and_respects_key() {
         let mut c = SplitCache::default();
         let d = descriptor("a", 10);
         let (parts, columns, plan) = cut(2);
         c.put(&d, &spec(2), &parts, &columns, &plan);
         let hit = c.get(&d, &spec(2)).expect("hit");
-        assert!(Arc::ptr_eq(&hit.parts[0], &parts[0]));
+        assert!(hit.parts[0].same_view(&parts[0]));
         assert_eq!(hit.columns.len(), 2);
         // Different spec or different content → miss.
         assert!(c.get(&d, &spec(3)).is_none());
@@ -202,7 +196,7 @@ mod tests {
             })
             .collect();
         let d = Dataset::from_records("t", "t", recs.clone()).descriptor;
-        let parts = vec![Arc::new(recs)];
+        let parts = vec![RecordBatch::new(recs)];
         let columns = vec![ColumnBatch::from_records(&parts[0]).map(Arc::new)];
         assert!(columns[0].is_some());
         let plan = SplitPlan {

@@ -20,11 +20,16 @@
 //!   [`CoreError::StagingFailure`](crate::CoreError) *before* any epoch
 //!   bump, leaving the session consistent on its previous dataset.
 //!
+//! Nothing on this path copies a record: a split is a *plan* of record
+//! ranges, the stager moves range descriptors, and the staged parts are
+//! [`RecordBatch`] views into the published dataset — a site holds one
+//! copy of a dataset however many sessions and split specs stage it.
+//!
 //! The split cache is keyed by `(dataset id, record count, byte size,
 //! split policy, part count, byte_balanced)` — re-selecting the same
 //! dataset (or re-splitting for the same engine count after a rewind into
-//! a new epoch) restages in O(parts) `Arc` clones instead of re-splitting
-//! and re-transferring, the interactive loop's hottest repeated cost.
+//! a new epoch) restages in O(parts) view clones instead of re-planning,
+//! re-delivering and re-transcoding.
 
 pub mod cache;
 pub mod pipeline;
@@ -33,8 +38,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ipa_dataset::{
-    split_chunks, split_even, split_records, AnyRecord, ColumnBatch, DataLayout, DatasetDescriptor,
-    DatasetId, SplitPlan,
+    plan_chunks, plan_even, plan_records, AnyRecord, ColumnBatch, DataLayout, DatasetDescriptor,
+    DatasetId, RecordBatch, SplitPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -49,14 +54,14 @@ use pipeline::{StageFaultPlan, Stager, StagerConfig};
 /// cache key (the dataset-content half comes from the descriptor).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SplitSpec {
-    /// Pull-based micro-partitioning ([`split_chunks`]) when true; one
+    /// Pull-based micro-partitioning ([`plan_chunks`]) when true; one
     /// ~equal part per engine otherwise.
     pub micro_parts: bool,
     /// Target part count: living engines, or `engines × oversub` under
     /// micro-partitioning.
     pub parts: usize,
-    /// Byte-balanced greedy split ([`split_records`]) vs record-count
-    /// split ([`split_even`]). Ignored under micro-partitioning.
+    /// Byte-balanced greedy split ([`plan_records`]) vs record-count
+    /// split ([`plan_even`]). Ignored under micro-partitioning.
     pub byte_balanced: bool,
 }
 
@@ -88,16 +93,16 @@ pub struct StagedDataset {
     pub descriptor: DatasetDescriptor,
     /// Where the locator resolved it.
     pub location: DatasetLocation,
-    /// The parts, ready to assign to engines.
-    pub parts: Vec<Arc<Vec<AnyRecord>>>,
+    /// The parts, ready to assign to engines: views into the dataset.
+    pub parts: Vec<RecordBatch>,
     /// Columnar transcodes parallel to `parts`: `Some` per part under
     /// [`DataLayout::Columnar`] (unless that part cannot transcode, e.g.
     /// it is empty), all `None` under [`DataLayout::Row`].
     pub columns: Vec<Option<Arc<ColumnBatch>>>,
     /// How the records were cut.
     pub plan: SplitPlan,
-    /// True when the parts came out of the split cache (no re-split, no
-    /// re-transfer).
+    /// True when the parts came out of the split cache (no re-plan, no
+    /// re-delivery, no re-transcode).
     pub from_cache: bool,
 }
 
@@ -112,7 +117,8 @@ pub struct StagedDataset {
 pub struct StagingStats {
     /// Parts delivered through the pipeline (cache hits excluded).
     pub parts_staged: u64,
-    /// Bytes moved through the pipeline (cache hits move zero).
+    /// Encoded bytes of the parts delivered (the plans' byte sums: what the
+    /// 2006 site would have moved — here nothing is copied); hits add zero.
     pub bytes_moved: u64,
     /// Chunked transfers performed (a part is one or more chunks of
     /// ~`stage_chunk_bytes` each).
@@ -131,12 +137,13 @@ pub struct StagingStats {
     pub transfer_failures: u64,
     /// Last stage: locator resolution, milliseconds.
     pub locate_ms: f64,
-    /// Last stage: split pass, milliseconds.
+    /// Last stage: split planning (a pass over encoded sizes), milliseconds.
     pub split_ms: f64,
     /// Last stage: columnar transcode pass, milliseconds (0 under the row
     /// layout or from the cache).
     pub transcode_ms: f64,
-    /// Last stage: chunked part delivery (wall clock), milliseconds.
+    /// Last stage: chunked delivery of the parts' range descriptors,
+    /// retries and backoff included (wall clock), milliseconds.
     pub deliver_ms: f64,
     /// Last stage: simulated serial staging-disk read, seconds (the
     /// paper's "move parts" serial phase, at the calibrated disk rate).
@@ -207,17 +214,13 @@ impl SitePlane {
         self
     }
 
-    fn split(
-        &self,
-        records: &[AnyRecord],
-        spec: &SplitSpec,
-    ) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), CoreError> {
+    fn plan(&self, records: &[AnyRecord], spec: &SplitSpec) -> Result<SplitPlan, CoreError> {
         if spec.micro_parts {
-            split_chunks(records, spec.parts)
+            plan_chunks(records, spec.parts)
         } else if spec.byte_balanced {
-            split_records(records, spec.parts)
+            plan_records(records, spec.parts)
         } else {
-            split_even(records, spec.parts)
+            plan_even(records, spec.parts)
         }
         .map_err(|e| CoreError::Staging(e.to_string()))
     }
@@ -257,33 +260,30 @@ impl DatasetPlane for SitePlane {
         self.stats.cache_misses += 1;
 
         let t1 = Instant::now();
-        let (raw_parts, plan) = self.split(&ds.records, spec)?;
+        let plan = self.plan(&ds.records, spec)?;
         self.stats.split_ms = t1.elapsed().as_secs_f64() * 1e3;
 
         let t2 = Instant::now();
         let stager = Stager::new(self.stager_config, &self.faults);
-        let outcome = stager.deliver(raw_parts, &plan);
+        let outcome = stager.deliver(&plan);
         self.stats.deliver_ms = t2.elapsed().as_secs_f64() * 1e3;
         self.stats.chunks_sent += outcome.chunks_sent;
         self.stats.retries += outcome.retries;
-        let delivered = match outcome.result {
-            Ok(parts) => parts,
-            Err(failure) => {
-                self.stats.transfer_failures += 1;
-                return Err(CoreError::StagingFailure {
-                    part: failure.part,
-                    attempts: failure.attempts,
-                });
-            }
-        };
-        self.stats.parts_staged += delivered.len() as u64;
+        if let Err(failure) = outcome.result {
+            self.stats.transfer_failures += 1;
+            return Err(CoreError::StagingFailure {
+                part: failure.part,
+                attempts: failure.attempts,
+            });
+        }
+        // Every range arrived whole; the parts are those ranges of `ds`.
+        let parts = plan.views(&ds.records);
+        self.stats.parts_staged += parts.len() as u64;
         self.stats.bytes_moved += plan.ranges.iter().map(|r| r.2).sum::<u64>();
         self.stats.sim_read_s = outcome.sim_read_s;
         self.stats.sim_transfer_s = outcome.sim_transfer_s;
         self.stats.sim_pipelined_s = outcome.sim_pipelined_s;
         self.stats.overlap_ratio = outcome.overlap_ratio;
-
-        let parts: Vec<Arc<Vec<AnyRecord>>> = delivered.into_iter().map(Arc::new).collect();
 
         // Columnar layout: transcode each part once, here, so engines (and
         // every later re-assignment out of the split cache) get the
@@ -329,23 +329,21 @@ impl DatasetPlane for SitePlane {
 mod tests {
     use super::*;
     use crate::store::DatasetStore;
-    use ipa_dataset::{Dataset, EventGeneratorConfig, GeneratorConfig};
+    use ipa_dataset::{
+        split_chunks, split_even, split_records, DatasetError, EventGeneratorConfig,
+        GeneratorConfig,
+    };
 
     fn plane(events: u64, config: &IpaConfig) -> SitePlane {
         let store = DatasetStore::new();
         store
-            .put(Dataset::from_records(
+            .put(ipa_dataset::generate_dataset(
                 "ds",
                 "ds",
-                ipa_dataset::generate_dataset(
-                    "ds",
-                    "ds",
-                    &GeneratorConfig::Event(EventGeneratorConfig {
-                        events,
-                        ..Default::default()
-                    }),
-                )
-                .records,
+                &GeneratorConfig::Event(EventGeneratorConfig {
+                    events,
+                    ..Default::default()
+                }),
             ))
             .unwrap();
         SitePlane::new(LocatorService::new(store, "site"), config)
@@ -395,10 +393,10 @@ mod tests {
         assert!(second.from_cache);
         assert_eq!(p.stats().cache_hits, 1);
         assert_eq!(p.stats().cache_misses, 1);
-        // Bit-identical: the hit returns the same Arc'd part buffers.
+        // Bit-identical: the hit returns the very same views.
         assert_eq!(first.parts.len(), second.parts.len());
         for (a, b) in first.parts.iter().zip(&second.parts) {
-            assert!(Arc::ptr_eq(a, b));
+            assert!(a.same_view(b));
         }
         // A different spec is a different key.
         let other = p
@@ -487,27 +485,42 @@ mod tests {
 
     #[test]
     fn delivered_parts_match_direct_split_bit_for_bit() {
-        let config = IpaConfig::default();
-        let mut p = plane(333, &config);
-        let spec = SplitSpec {
-            micro_parts: true,
-            parts: 16,
-            byte_balanced: false,
-        };
-        let staged = p.stage(&DatasetId::new("ds"), &spec).unwrap();
-        let ds = ipa_dataset::generate_dataset(
-            "ds",
-            "ds",
-            &GeneratorConfig::Event(EventGeneratorConfig {
-                events: 333,
-                ..Default::default()
-            }),
-        );
-        let (direct, _) = split_chunks(&ds.records, 16).unwrap();
-        assert_eq!(staged.parts.len(), direct.len());
-        for (got, want) in staged.parts.iter().zip(&direct) {
-            assert_eq!(got.as_ref(), want);
+        // Under every split policy the staged parts equal what the copying
+        // wrapper returns — and are not copies: each starts at the address
+        // of the published record its plan range starts at.
+        type Wrapper =
+            fn(&[AnyRecord], usize) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError>;
+        let policies: [(bool, bool, usize, Wrapper); 3] = [
+            (false, true, 3, split_records),
+            (false, false, 3, split_even),
+            (true, false, 16, split_chunks),
+        ];
+        let mut p = plane(333, &IpaConfig::default());
+        let published = p.locator.fetch(&DatasetId::new("ds")).unwrap();
+        for (micro_parts, byte_balanced, parts, wrapper) in policies {
+            let spec = SplitSpec {
+                micro_parts,
+                parts,
+                byte_balanced,
+            };
+            let staged = p.stage(&DatasetId::new("ds"), &spec).unwrap();
+            let (direct, plan) = wrapper(&published.records, parts).unwrap();
+            assert_eq!(staged.plan, plan, "{spec:?}");
+            assert_eq!(staged.parts.len(), direct.len());
+            for (k, (got, want)) in staged.parts.iter().zip(&direct).enumerate() {
+                assert_eq!(got, want, "{spec:?} part {k}");
+                assert!(
+                    std::ptr::eq(&got[0], &published.records[plan.ranges[k].0 as usize]),
+                    "{spec:?} part {k} was copied"
+                );
+            }
         }
+        // `bytes_moved` stays each plan's byte sum: the encoded payload,
+        // i.e. the dataset's size without the codec's 18-byte header.
+        assert_eq!(
+            p.stats().bytes_moved,
+            3 * (published.descriptor.size_bytes - 18)
+        );
     }
 
     #[test]

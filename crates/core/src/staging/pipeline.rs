@@ -7,12 +7,16 @@
 //! between the two provides backpressure: the reader blocks when transfers
 //! fall behind, exactly like a staging disk throttled by the site NIC.
 //!
+//! What travels is a *descriptor* — `(part, sequence number, record
+//! range)` — never the records: parts are views into the published
+//! dataset, so there is nothing to copy. The stager runs the 2006 site's
+//! transfer schedule over the descriptors and checks that what arrived
+//! tiles every part; the caller then cuts the views from the plan.
+//!
 //! With `stage_overlap` on, the reader and the transfer pool run
 //! concurrently (the pipelined shape); off, the full read pass completes
 //! before the first transfer starts (the paper's eager shape — Table 2's
-//! serial read-then-move). Delivery is bit-identical either way: chunks
-//! are reassembled per part in sequence order, and the records are moved
-//! (never re-encoded), so a staged part equals the split output exactly.
+//! serial read-then-move). Delivery is identical either way.
 //!
 //! Transfers retry per part with exponential backoff; a
 //! [`StageFaultPlan`] injects deterministic failures for chaos tests. A
@@ -20,19 +24,20 @@
 //! structured [`TerminalFailure`], which [`super::SitePlane`] surfaces as
 //! [`crate::CoreError::StagingFailure`].
 //!
-//! Real wall-clock is the movement of in-memory buffers between threads;
-//! the *simulated* times (what the 2006 testbed would have cost) are
+//! Real wall-clock is the movement of descriptors between threads; the
+//! *simulated* times (what the 2006 testbed would have cost) are
 //! computed against the same knobs `ipa_simgrid::stage` calibrates:
 //! the staging-disk MB/s and the LAN per-stream bandwidth/latency of
 //! [`ipa_simgrid::PaperCalibration`].
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use crossbeam::channel::bounded;
-use ipa_dataset::{AnyRecord, SplitPlan};
+use ipa_dataset::SplitPlan;
 use ipa_simgrid::PaperCalibration;
 
 use crate::config::IpaConfig;
@@ -117,9 +122,9 @@ pub struct TerminalFailure {
 
 /// What one [`Stager::deliver`] run produced.
 pub struct StageOutcome {
-    /// The reassembled parts (bit-identical to the split input), or the
-    /// terminal failure that aborted delivery.
-    pub result: Result<Vec<Vec<AnyRecord>>, TerminalFailure>,
+    /// `Ok` when every part arrived whole (its chunks tile its planned
+    /// record range), or the terminal failure that aborted delivery.
+    pub result: Result<(), TerminalFailure>,
     /// Successful chunk transfers performed.
     pub chunks_sent: u64,
     /// Failed attempts absorbed by the retry budget.
@@ -136,11 +141,12 @@ pub struct StageOutcome {
     pub overlap_ratio: f64,
 }
 
-/// One chunk in flight between the reader and the transfer pool.
+/// One chunk in flight between the reader and the transfer pool: which
+/// records it stands for, not the records themselves.
 struct Chunk {
     part: usize,
     seq: u32,
-    records: Vec<AnyRecord>,
+    records: Range<usize>,
 }
 
 /// The chunked transfer pipeline. Construct per stage operation.
@@ -158,10 +164,10 @@ impl Stager {
         }
     }
 
-    /// Cut `parts` into chunks and deliver them through the transfer pool,
-    /// reassembling each part in order. Records are moved, not cloned.
-    pub fn deliver(self, mut parts: Vec<Vec<AnyRecord>>, plan: &SplitPlan) -> StageOutcome {
-        let n_parts = parts.len();
+    /// Cut the plan's parts into chunk descriptors, deliver them through
+    /// the transfer pool, and check each part's chunks against its range.
+    pub fn deliver(self, plan: &SplitPlan) -> StageOutcome {
+        let n_parts = plan.ranges.len();
         // Records per chunk for each part, from the plan's byte sizes: a
         // part of B bytes and R records gets ~R·chunk_bytes/B records per
         // chunk (≥ 1). Empty or zero-byte parts go as one chunk.
@@ -179,7 +185,7 @@ impl Stager {
 
         // Chunks arrive out of order across workers; each part reassembles
         // by sequence number at the end.
-        let assembled: Vec<Mutex<Vec<(u32, Vec<AnyRecord>)>>> =
+        let assembled: Vec<Mutex<Vec<(u32, Range<usize>)>>> =
             (0..n_parts).map(|_| Mutex::new(Vec::new())).collect();
         let part_failures: Vec<AtomicU64> = (0..n_parts).map(|_| AtomicU64::new(0)).collect();
         let faults = Mutex::new(self.faults.clone());
@@ -257,34 +263,25 @@ impl Stager {
             // order within a part. Overlap mode feeds the (bounded) queue
             // as it reads — backpressure blocks the reader when transfers
             // lag; eager mode completes the whole read pass first.
-            let mut read_pass = |sink: &mut dyn FnMut(Chunk) -> bool| {
-                for (part, records) in parts.drain(..).enumerate() {
-                    let per = chunk_records[part];
+            let read_pass = |sink: &mut dyn FnMut(Chunk) -> bool| {
+                for (part, &per) in chunk_records.iter().enumerate() {
+                    let Range { mut start, end } = plan.record_range(part);
                     let mut seq = 0u32;
-                    if records.is_empty() {
+                    // An empty part still travels, as one empty chunk.
+                    loop {
+                        let next = end.min(start.saturating_add(per));
                         if !sink(Chunk {
                             part,
                             seq,
-                            records: Vec::new(),
+                            records: start..next,
                         }) {
                             return;
                         }
-                        continue;
-                    }
-                    let mut records = records.into_iter();
-                    loop {
-                        let chunk: Vec<AnyRecord> = records.by_ref().take(per).collect();
-                        if chunk.is_empty() {
+                        start = next;
+                        seq += 1;
+                        if start == end {
                             break;
                         }
-                        if !sink(Chunk {
-                            part,
-                            seq,
-                            records: chunk,
-                        }) {
-                            return;
-                        }
-                        seq += 1;
                     }
                 }
             };
@@ -317,17 +314,18 @@ impl Stager {
         let result = match failure.into_inner().expect("failure lock") {
             Some(f) => Err(f),
             None => {
-                let mut out = Vec::with_capacity(n_parts);
-                for slot in assembled {
+                for (part, slot) in assembled.into_iter().enumerate() {
                     let mut chunks = slot.into_inner().expect("assembly lock");
-                    chunks.sort_by_key(|&(seq, _)| seq);
-                    let mut part: Vec<AnyRecord> = Vec::new();
-                    for (_, mut recs) in chunks {
-                        part.append(&mut recs);
+                    chunks.sort_unstable_by_key(|&(seq, _)| seq);
+                    let planned = plan.record_range(part);
+                    let mut end = planned.start;
+                    for (_, records) in chunks {
+                        assert_eq!(records.start, end, "part {part}: chunks must tile it");
+                        end = records.end;
                     }
-                    out.push(part);
+                    assert_eq!(end, planned.end, "part {part}: chunks must cover it");
                 }
-                Ok(out)
+                Ok(())
             }
         };
         StageOutcome {
@@ -408,21 +406,6 @@ impl Stager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipa_dataset::{split_even, CollisionEvent};
-
-    fn records(n: u64) -> Vec<AnyRecord> {
-        (0..n)
-            .map(|i| {
-                AnyRecord::Event(CollisionEvent {
-                    event_id: i,
-                    run: 0,
-                    sqrt_s: 500.0,
-                    is_signal: false,
-                    particles: vec![],
-                })
-            })
-            .collect()
-    }
 
     fn config() -> StagerConfig {
         StagerConfig {
@@ -439,17 +422,22 @@ mod tests {
         }
     }
 
-    fn deliver(cfg: StagerConfig, recs: &[AnyRecord], n: usize) -> StageOutcome {
-        let (parts, plan) = split_even(recs, n).unwrap();
-        Stager::new(cfg, &StageFaultPlan::default()).deliver(parts, &plan)
+    /// Deliver `n_records` 25-byte records cut evenly into `n` parts.
+    fn deliver(cfg: StagerConfig, faults: StageFaultPlan, n_records: u64, n: u64) -> StageOutcome {
+        let cut = |p: u64| p * n_records / n;
+        let plan = SplitPlan {
+            parts: n as usize,
+            ranges: (0..n)
+                .map(|p| (cut(p), cut(p + 1) - cut(p), 25 * (cut(p + 1) - cut(p))))
+                .collect(),
+        };
+        Stager::new(cfg, &faults).deliver(&plan)
     }
 
     #[test]
-    fn delivery_is_bit_identical_and_chunked() {
-        let recs = records(200);
-        let (want, plan) = split_even(&recs, 4).unwrap();
-        let out = Stager::new(config(), &StageFaultPlan::default()).deliver(want.clone(), &plan);
-        assert_eq!(out.result.unwrap(), want);
+    fn delivery_is_whole_and_chunked() {
+        let out = deliver(config(), StageFaultPlan::default(), 200, 4);
+        out.result.unwrap();
         assert!(
             out.chunks_sent > 4,
             "small chunk_bytes must cut multiple chunks per part, got {}",
@@ -462,60 +450,55 @@ mod tests {
 
     #[test]
     fn eager_mode_matches_and_reports_no_overlap() {
-        let recs = records(100);
-        let out = deliver(
-            StagerConfig {
-                overlap: false,
-                ..config()
-            },
-            &recs,
-            3,
-        );
-        let (want, _) = split_even(&recs, 3).unwrap();
-        assert_eq!(out.result.unwrap(), want);
+        let eager = StagerConfig {
+            overlap: false,
+            ..config()
+        };
+        let out = deliver(eager, StageFaultPlan::default(), 100, 3);
+        out.result.unwrap();
         assert_eq!(out.overlap_ratio, 0.0);
+        let piped = deliver(config(), StageFaultPlan::default(), 100, 3);
+        assert_eq!(out.chunks_sent, piped.chunks_sent);
     }
 
     #[test]
-    fn empty_parts_are_delivered_empty() {
-        // More parts than records → empty tail parts must come back.
-        let recs = records(2);
-        let out = deliver(config(), &recs, 5);
-        let parts = out.result.unwrap();
-        assert_eq!(parts.len(), 5);
-        assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 3);
-        let empty = deliver(config(), &[], 3);
-        assert_eq!(empty.result.unwrap().len(), 3);
+    fn empty_parts_travel_as_one_empty_chunk() {
+        // More parts than records → the empty tail parts are delivered
+        // too, so a fault armed on one of them still fires.
+        let out = deliver(config(), StageFaultPlan::default(), 2, 5);
+        out.result.unwrap();
+        assert_eq!(out.chunks_sent, 5);
+        let empty = deliver(config(), StageFaultPlan::default().fail_part(2, 1), 0, 3);
+        empty.result.unwrap();
+        assert_eq!((empty.chunks_sent, empty.retries), (3, 1));
     }
 
     #[test]
     fn faults_within_budget_retry_and_succeed() {
-        let recs = records(50);
-        let (parts, plan) = split_even(&recs, 2).unwrap();
-        let out = Stager::new(
+        let out = deliver(
             StagerConfig {
                 retries: 3,
                 ..config()
             },
-            &StageFaultPlan::default().fail_part(1, 2),
-        )
-        .deliver(parts.clone(), &plan);
-        assert_eq!(out.result.unwrap(), parts);
+            StageFaultPlan::default().fail_part(1, 2),
+            50,
+            2,
+        );
+        out.result.unwrap();
         assert_eq!(out.retries, 2);
     }
 
     #[test]
     fn faults_beyond_budget_are_terminal() {
-        let recs = records(50);
-        let (parts, plan) = split_even(&recs, 2).unwrap();
-        let out = Stager::new(
+        let out = deliver(
             StagerConfig {
                 retries: 1,
                 ..config()
             },
-            &StageFaultPlan::default().fail_part(0, 10),
-        )
-        .deliver(parts, &plan);
+            StageFaultPlan::default().fail_part(0, 10),
+            50,
+            2,
+        );
         let failure = out.result.unwrap_err();
         assert_eq!(failure.part, 0);
         assert_eq!(failure.attempts, 2);

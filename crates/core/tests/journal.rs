@@ -211,7 +211,10 @@ fn journal_off_case() {
     );
     match manager.recover_session(id) {
         Err(CoreError::Journal(_)) => {}
-        other => panic!("recovery without a journal must fail, got {other:?}"),
+        other => panic!(
+            "recovery without a journal must fail, got {:?}",
+            other.map(|_| "a session")
+        ),
     }
     cleanup(&dir);
 }

@@ -7,9 +7,10 @@
 use std::time::Duration;
 
 use ipa_core::{
-    AnalysisCode, CoreError, HiggsSearchAnalyzer, IpaConfig, ManagerNode, RunState, StageFaultPlan,
+    AnalysisCode, CoreError, DatasetPlane, HiggsSearchAnalyzer, IpaConfig, ManagerNode, RunState,
+    SchedulerPolicy, SitePlane, SplitSpec, StageFaultPlan,
 };
-use ipa_dataset::{DatasetId, EventGeneratorConfig, GeneratorConfig};
+use ipa_dataset::{AnyRecord, DatasetId, EventGeneratorConfig, GeneratorConfig};
 use ipa_script::AidaHost;
 use ipa_simgrid::{SecurityDomain, VoPolicy};
 
@@ -41,7 +42,12 @@ fn manager() -> (ManagerNode, ipa_simgrid::GridProxy) {
 /// Serial reference pass over the published records, for bit-exactness
 /// comparisons after staged/parallel runs.
 fn serial_reference(m: &ManagerNode, range: Option<(usize, usize)>) -> AidaHost {
-    let records = m.locator().fetch(&DatasetId::new("ds")).unwrap().records;
+    let records = m
+        .locator()
+        .fetch(&DatasetId::new("ds"))
+        .unwrap()
+        .records
+        .clone();
     let slice = match range {
         Some((a, b)) => &records[a..b],
         None => &records[..],
@@ -231,6 +237,72 @@ fn record_range_view_selects_and_runs_the_slice() {
         );
     }
     s.close();
+}
+
+/// True when `record` is one of `base`'s own records (by address).
+fn lies_inside(record: &AnyRecord, base: &[AnyRecord]) -> bool {
+    base.as_ptr_range().contains(&(record as *const AnyRecord))
+}
+
+#[test]
+fn no_record_is_copied_between_publishing_and_the_parts() {
+    // The site's plane over the manager's own store, under the three split
+    // policies a session can ask for: every staged part must start at the
+    // address of the published record its plan range starts at.
+    let (m, _proxy) = manager();
+    let published = m.locator().fetch(&DatasetId::new("ds")).unwrap();
+    for (scheduler, byte_balanced) in [
+        (SchedulerPolicy::Static, true),
+        (SchedulerPolicy::Static, false),
+        (SchedulerPolicy::WorkQueue, false),
+    ] {
+        let config = IpaConfig {
+            scheduler,
+            byte_balanced_split: byte_balanced,
+            ..Default::default()
+        };
+        let spec = SplitSpec::from_config(&config, 3);
+        let mut plane = SitePlane::new(m.locator().clone(), &config);
+        let staged = plane.stage(&DatasetId::new("ds"), &spec).unwrap();
+        assert_eq!(staged.parts.len(), spec.parts, "{spec:?}");
+        for (k, part) in staged.parts.iter().enumerate() {
+            let (first, count, _) = staged.plan.ranges[k];
+            assert_eq!(part.len() as u64, count, "{spec:?} part {k}");
+            assert!(
+                std::ptr::eq(&part[0], &published.records[first as usize]),
+                "{spec:?} part {k} was copied"
+            );
+        }
+        let total: usize = staged.parts.iter().map(|p| p.len()).sum();
+        assert_eq!(total as u64, DATASET_EVENTS);
+    }
+}
+
+#[test]
+fn range_view_cache_hit_hands_back_the_base_datasets_records() {
+    // Re-selecting a `"<base>@a..b"` view used to deep-copy the slice
+    // before the cache was even asked. Miss and hit alike must now hand
+    // out records that live inside the published base dataset.
+    let (m, _proxy) = manager();
+    let published = m.locator().fetch(&DatasetId::new("ds")).unwrap();
+    let config = IpaConfig::default();
+    let spec = SplitSpec::from_config(&config, 2);
+    let mut plane = SitePlane::new(m.locator().clone(), &config);
+    let id = DatasetId::new("ds@500..1500");
+    let miss = plane.stage(&id, &spec).unwrap();
+    let hit = plane.stage(&id, &spec).unwrap();
+    assert!(!miss.from_cache && hit.from_cache);
+    assert_eq!(plane.stats().cache_hits, 1);
+    for staged in [&miss, &hit] {
+        assert_eq!(staged.descriptor.records, 1_000);
+        assert!(std::ptr::eq(&staged.parts[0][0], &published.records[500]));
+        for part in &staged.parts {
+            assert!(part.iter().all(|r| lies_inside(r, &published.records)));
+        }
+    }
+    for (a, b) in miss.parts.iter().zip(&hit.parts) {
+        assert!(a.same_view(b));
+    }
 }
 
 #[test]

@@ -8,11 +8,13 @@
 //! validity bitmap marking [`FieldValue::Missing`] slots, so the hot loop
 //! reads contiguous memory and bulk fills autovectorize.
 //!
-//! Bit-identity is by construction: every cell is produced by calling
-//! [`RecordFields::field`] during the transcode, so a per-record read
-//! through [`ColumnBatch::field_at`] returns exactly the `FieldValue` the
-//! row path would have produced — including `Missing` patterns and the
-//! original f64 bit patterns of derived quantities.
+//! Bit-identity is by contract: every cell comes from
+//! [`RecordFields::for_each_field`], which yields exactly what
+//! [`RecordFields::field`] returns name by name (property-tested for every
+//! record kind), so a per-record read through [`ColumnBatch::field_at`]
+//! returns exactly the `FieldValue` the row path would have produced —
+//! including `Missing` patterns and the original f64 bit patterns of
+//! derived quantities.
 
 use std::sync::Arc;
 
@@ -179,12 +181,15 @@ impl ColumnBatch {
             if rec.kind() != kind {
                 return None;
             }
-            for (builder, name) in builders.iter_mut().zip(names) {
-                // field_names() entries always resolve on their own kind.
-                let value = rec.field(name)?;
-                if !builder.push(value) {
-                    return None;
-                }
+            // One call per record: the fields arrive in `names` order.
+            let mut columns = builders.iter_mut();
+            let mut type_clash = false;
+            rec.for_each_field(|value| {
+                let builder = columns.next().expect("one value per field name");
+                type_clash |= !builder.push(value);
+            });
+            if type_clash {
+                return None;
             }
         }
         Some(ColumnBatch {

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::batch::RecordBatch;
 use crate::codec::{decode_dataset, encode_dataset, encoded_record_size};
 use crate::error::DatasetError;
 use crate::record::AnyRecord;
@@ -74,12 +75,17 @@ impl DatasetDescriptor {
 }
 
 /// An in-memory dataset: descriptor + records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The records are a shared [`RecordBatch`], so cloning a dataset and
+/// taking a [`Dataset::range_view`] of it copy no record: every clone,
+/// view and staged part of a published dataset points into the one
+/// allocation made when it was built.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Catalog descriptor (kept consistent with `records` by construction).
     pub descriptor: DatasetDescriptor,
     /// The records, in dataset order.
-    pub records: Vec<AnyRecord>,
+    pub records: RecordBatch,
 }
 
 /// Byte size of the codec header.
@@ -103,11 +109,17 @@ impl Dataset {
             records.iter().all(|r| DatasetKind::of(r) == kind),
             "dataset records must be homogeneous"
         );
+        Dataset::describe(id.into(), name.into(), kind, RecordBatch::new(records))
+    }
+
+    /// Size up `records` (already known to be all of `kind`) and attach
+    /// the descriptor.
+    fn describe(id: String, name: String, kind: DatasetKind, records: RecordBatch) -> Self {
         let payload: u64 = records.iter().map(|r| encoded_record_size(r) as u64).sum();
         Dataset {
             descriptor: DatasetDescriptor {
                 id: DatasetId::new(id),
-                name: name.into(),
+                name,
                 kind,
                 records: records.len() as u64,
                 size_bytes: HEADER_BYTES + payload,
@@ -126,18 +138,20 @@ impl Dataset {
         self.records.is_empty()
     }
 
-    /// Materialize the contiguous `[first, last)` record range as a
-    /// standalone dataset published under `id` (locator-style
-    /// `"<base>@<first>..<last>"` views), with a fresh descriptor sized to
-    /// the slice. Returns `None` when the range does not fit.
+    /// The contiguous `[first, last)` record range as a dataset of its own
+    /// under `id` (locator-style `"<base>@<first>..<last>"` views), with a
+    /// fresh descriptor sized to the slice. The view shares this dataset's
+    /// records; only their encoded sizes are walked. Returns `None` when
+    /// the range does not fit.
     pub fn range_view(&self, id: impl Into<String>, first: usize, last: usize) -> Option<Dataset> {
         if first > last || last > self.records.len() {
             return None;
         }
-        Some(Dataset::from_records(
-            id,
+        Some(Dataset::describe(
+            id.into(),
             format!("{} [{first}..{last})", self.descriptor.name),
-            self.records[first..last].to_vec(),
+            self.descriptor.kind,
+            self.records.slice(first..last),
         ))
     }
 
@@ -214,6 +228,19 @@ mod tests {
         assert_eq!(view.descriptor.records, 5);
         assert!(view.descriptor.size_bytes < ds.descriptor.size_bytes);
         assert_eq!(view.records[..], ds.records[2..7]);
+        assert!(
+            std::ptr::eq(&view.records[0], &ds.records[2]),
+            "a range view shares the base dataset's records"
+        );
+        assert!(
+            std::ptr::eq(&ds.clone().records[0], &ds.records[0]),
+            "so does a clone"
+        );
+        assert_eq!(
+            view.descriptor.size_bytes as usize,
+            view.encode().len(),
+            "the view's descriptor is sized to the slice"
+        );
         assert!(view.descriptor.name.contains("[2..7)"));
         // Degenerate empty view is fine; out-of-range / inverted are not.
         assert_eq!(ds.range_view("x@3..3", 3, 3).unwrap().len(), 0);

@@ -145,6 +145,9 @@ impl EventGeneratorConfig {
             let n = self.mean_multiplicity + self.mean_multiplicity.sqrt() * gauss(rng);
             n.max(2.0).round() as usize
         };
+        // Exact capacity: staged parts are views into these very buffers,
+        // so growth slack here would be walked (and kept) by every session.
+        particles.reserve_exact(n_bg);
         for _ in 0..n_bg {
             // Exponential energy spectrum.
             let e = -18.0 * rng.random::<f64>().max(1e-12).ln();

@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+pub mod batch;
 pub mod codec;
 pub mod columnar;
 pub mod dataset;
@@ -34,6 +35,7 @@ pub mod splitter;
 pub mod stream;
 pub mod trade;
 
+pub use batch::{RecordBatch, RecordHandle};
 pub use codec::{decode_dataset, encode_dataset, DATASET_MAGIC, FORMAT_VERSION};
 pub use columnar::{Column, ColumnBatch, ColumnData, DataLayout};
 pub use dataset::{Dataset, DatasetDescriptor, DatasetId, DatasetKind};
@@ -45,6 +47,9 @@ pub use generator::{
     TradeGeneratorConfig,
 };
 pub use record::{AnyRecord, FieldValue, RecordFields};
-pub use splitter::{reassemble, split_chunks, split_dataset, split_even, split_records, SplitPlan};
+pub use splitter::{
+    plan_chunks, plan_even, plan_records, reassemble, split_chunks, split_dataset, split_even,
+    split_records, SplitPlan,
+};
 pub use stream::{split_stream, StreamReader, StreamWriter};
 pub use trade::TradeRecord;

@@ -52,6 +52,20 @@ pub trait RecordFields {
 
     /// The field names this record type understands.
     fn field_names(&self) -> &'static [&'static str];
+
+    /// Hand `emit` the value of every field, in [`RecordFields::field_names`]
+    /// order — exactly `field_names().map(|n| field(n))`, which is what the
+    /// default does. Whole-record consumers (the columnar transcode) call
+    /// this so a record type can derive all its fields in one pass instead
+    /// of once per name.
+    fn for_each_field(&self, mut emit: impl FnMut(FieldValue)) {
+        for name in self.field_names() {
+            emit(
+                self.field(name)
+                    .expect("field_names() entries resolve on their own record type"),
+            );
+        }
+    }
 }
 
 /// Any record the framework can analyze.
@@ -137,6 +151,49 @@ impl RecordFields for CollisionEvent {
             "lead_pt",
         ]
     }
+
+    /// One walk over the particles derives every per-particle aggregate.
+    /// Each accumulator sees the same operations in the same order as the
+    /// by-name path (`charged_multiplicity`, `visible_energy`, `missing_pt`
+    /// and the folds in [`RecordFields::field`]), so every value is
+    /// bit-identical to `field(name)`.
+    fn for_each_field(&self, mut emit: impl FnMut(FieldValue)) {
+        let mut n_charged = 0i64;
+        // `Iterator::sum`'s own starting value, whatever its sign of zero.
+        let mut visible_energy: f64 = std::iter::empty::<f64>().sum();
+        let (mut sum_px, mut sum_py) = (0.0, 0.0);
+        let mut n_btags = 0i64;
+        let mut lead_pt = f64::NAN;
+        for p in &self.particles {
+            n_charged += i64::from(p.charge != 0.0);
+            visible_energy += p.p4.e;
+            sum_px += p.p4.px;
+            sum_py += p.p4.py;
+            n_btags += i64::from(p.is_b_tagged());
+            lead_pt = f64::max(lead_pt, p.p4.pt());
+        }
+        emit(FieldValue::Int(self.event_id as i64));
+        emit(FieldValue::Int(self.run as i64));
+        emit(FieldValue::Num(self.sqrt_s));
+        emit(FieldValue::Int(self.particles.len() as i64));
+        emit(FieldValue::Int(n_charged));
+        emit(FieldValue::Num(visible_energy));
+        emit(FieldValue::Num((sum_px * sum_px + sum_py * sum_py).sqrt()));
+        emit(FieldValue::Int(n_btags));
+        // Fewer than two b-tags have no pair mass: skip the search for them.
+        let bb_mass = if n_btags >= 2 {
+            self.leading_bb_mass()
+        } else {
+            None
+        };
+        emit(bb_mass.map_or(FieldValue::Missing, FieldValue::Num));
+        emit(FieldValue::Bool(self.is_signal));
+        emit(if lead_pt.is_nan() {
+            FieldValue::Missing
+        } else {
+            FieldValue::Num(lead_pt)
+        });
+    }
 }
 
 impl RecordFields for DnaRead {
@@ -211,6 +268,14 @@ impl RecordFields for AnyRecord {
             AnyRecord::Event(e) => e.field_names(),
             AnyRecord::Dna(d) => d.field_names(),
             AnyRecord::Trade(t) => t.field_names(),
+        }
+    }
+
+    fn for_each_field(&self, emit: impl FnMut(FieldValue)) {
+        match self {
+            AnyRecord::Event(e) => e.for_each_field(emit),
+            AnyRecord::Dna(d) => d.for_each_field(emit),
+            AnyRecord::Trade(t) => t.for_each_field(emit),
         }
     }
 }

@@ -2,18 +2,31 @@
 //!
 //! The paper's Splitter service "will import the dataset from the actual
 //! location and split it into a pre-configured number of approximately equal
-//! parts" (§3.4), one per analysis engine. Two strategies are provided:
+//! parts" (§3.4), one per analysis engine. Three policies are provided:
 //!
-//! * [`split_even`] — equal *record counts* (±1 record),
-//! * [`split_records`] — equal *byte sizes* (greedy, bounded imbalance),
-//!   better when record sizes vary wildly (e.g. variable-length DNA reads).
+//! * [`plan_even`] — equal *record counts* (±1 record),
+//! * [`plan_records`] — equal *byte sizes* (greedy, bounded imbalance),
+//!   better when record sizes vary wildly (e.g. variable-length DNA reads),
+//! * [`plan_chunks`] — [`plan_even`] clamped so no part is empty
+//!   (micro-parts for pull-based scheduling).
 //!
-//! Both preserve record order (part `i` holds a contiguous range that comes
-//! before part `i+1`'s) and form an exact partition — no record is lost or
-//! duplicated. Those invariants are property-tested.
+//! Splitting is *planning*: a policy reads the records' encoded sizes and
+//! returns a [`SplitPlan`] of record ranges; nothing is copied. Staging
+//! turns a plan into parts with [`SplitPlan::views`], which are
+//! [`RecordBatch`] ranges over the dataset's own records. The
+//! [`split_even`] / [`split_records`] / [`split_chunks`] wrappers run the
+//! same plans and copy each range into a `Vec` of its own, for callers
+//! that want standalone parts.
+//!
+//! All policies preserve record order (part `i` holds a contiguous range
+//! that comes before part `i+1`'s) and form an exact partition — no record
+//! is lost or duplicated. Those invariants are property-tested.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
+use crate::batch::RecordBatch;
 use crate::codec::encoded_record_size;
 use crate::dataset::Dataset;
 use crate::error::DatasetError;
@@ -53,20 +66,37 @@ impl SplitPlan {
         let mean = sizes.iter().sum::<u64>() as f64 / sizes.len() as f64;
         max / mean
     }
+
+    /// Record index range of part `k`.
+    pub fn record_range(&self, k: usize) -> Range<usize> {
+        let (first, count, _) = self.ranges[k];
+        first as usize..(first + count) as usize
+    }
+
+    /// The parts as views over `records` (the batch the plan was computed
+    /// on): no record is copied.
+    pub fn views(&self, records: &RecordBatch) -> Vec<RecordBatch> {
+        (0..self.ranges.len())
+            .map(|k| records.slice(self.record_range(k)))
+            .collect()
+    }
+
+    /// The parts as standalone vectors, each range of `records` cloned.
+    fn to_vecs(&self, records: &[AnyRecord]) -> Vec<Vec<AnyRecord>> {
+        (0..self.ranges.len())
+            .map(|k| records[self.record_range(k)].to_vec())
+            .collect()
+    }
 }
 
-/// Split into `n` parts with equal record counts (±1). The first
-/// `len % n` parts get the extra record, preserving order.
-pub fn split_even(
-    records: &[AnyRecord],
-    n: usize,
-) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError> {
+/// Plan `n` parts with equal record counts (±1). The first `len % n` parts
+/// get the extra record, preserving order.
+pub fn plan_even(records: &[AnyRecord], n: usize) -> Result<SplitPlan, DatasetError> {
     if n == 0 {
         return Err(DatasetError::ZeroParts);
     }
     let base = records.len() / n;
     let extra = records.len() % n;
-    let mut parts = Vec::with_capacity(n);
     let mut ranges = Vec::with_capacity(n);
     let mut idx = 0usize;
     for p in 0..n {
@@ -74,21 +104,17 @@ pub fn split_even(
         let slice = &records[idx..idx + take];
         let bytes: u64 = slice.iter().map(|r| encoded_record_size(r) as u64).sum();
         ranges.push((idx as u64, take as u64, bytes));
-        parts.push(slice.to_vec());
         idx += take;
     }
     debug_assert_eq!(idx, records.len());
-    Ok((parts, SplitPlan { parts: n, ranges }))
+    Ok(SplitPlan { parts: n, ranges })
 }
 
-/// Split into `n` parts targeting equal *byte* sizes while preserving
-/// order. Greedy: a part is closed once it reaches the running byte target.
-/// Each part's size differs from the ideal by at most the largest single
+/// Plan `n` parts targeting equal *byte* sizes while preserving order.
+/// Greedy: a part is closed once it reaches the running byte target. Each
+/// part's size differs from the ideal by at most the largest single
 /// record; when there are more parts than records some parts are empty.
-pub fn split_records(
-    records: &[AnyRecord],
-    n: usize,
-) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError> {
+pub fn plan_records(records: &[AnyRecord], n: usize) -> Result<SplitPlan, DatasetError> {
     if n == 0 {
         return Err(DatasetError::ZeroParts);
     }
@@ -97,7 +123,6 @@ pub fn split_records(
         .map(|r| encoded_record_size(r) as u64)
         .collect();
     let total: u64 = sizes.iter().sum();
-    let mut parts: Vec<Vec<AnyRecord>> = Vec::with_capacity(n);
     let mut ranges = Vec::with_capacity(n);
     let mut idx = 0usize;
     let mut consumed: u64 = 0;
@@ -122,29 +147,51 @@ pub fn split_records(
         }
         consumed += bytes;
         ranges.push((start as u64, (idx - start) as u64, bytes));
-        parts.push(records[start..idx].to_vec());
     }
     debug_assert_eq!(idx, records.len());
-    Ok((parts, SplitPlan { parts: n, ranges }))
+    Ok(SplitPlan { parts: n, ranges })
 }
 
-/// Split into *micro-parts* for pull-based scheduling: `n_parts` chunks of
+/// Plan *micro-parts* for pull-based scheduling: `n_parts` chunks of
 /// ~equal record counts, order-preserving, never producing an empty chunk.
 ///
-/// Unlike [`split_even`], which always returns exactly `n` parts (padding
+/// Unlike [`plan_even`], which always plans exactly `n` parts (padding
 /// with empty tails), this clamps the effective part count to
 /// `max(1, min(n_parts, records.len()))` so a work queue is never staged
 /// with no-op parts. An empty input yields a single empty part so the
 /// session still has one part to complete.
+pub fn plan_chunks(records: &[AnyRecord], n_parts: usize) -> Result<SplitPlan, DatasetError> {
+    if n_parts == 0 {
+        return Err(DatasetError::ZeroParts);
+    }
+    plan_even(records, n_parts.min(records.len()).max(1))
+}
+
+/// [`plan_even`], with each part copied out into a vector of its own.
+pub fn split_even(
+    records: &[AnyRecord],
+    n: usize,
+) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError> {
+    let plan = plan_even(records, n)?;
+    Ok((plan.to_vecs(records), plan))
+}
+
+/// [`plan_records`], with each part copied out into a vector of its own.
+pub fn split_records(
+    records: &[AnyRecord],
+    n: usize,
+) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError> {
+    let plan = plan_records(records, n)?;
+    Ok((plan.to_vecs(records), plan))
+}
+
+/// [`plan_chunks`], with each part copied out into a vector of its own.
 pub fn split_chunks(
     records: &[AnyRecord],
     n_parts: usize,
 ) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError> {
-    if n_parts == 0 {
-        return Err(DatasetError::ZeroParts);
-    }
-    let effective = n_parts.min(records.len()).max(1);
-    split_even(records, effective)
+    let plan = plan_chunks(records, n_parts)?;
+    Ok((plan.to_vecs(records), plan))
 }
 
 /// Reassemble parts into a single record vector (inverse of splitting,
@@ -153,18 +200,22 @@ pub fn reassemble(parts: &[Vec<AnyRecord>]) -> Vec<AnyRecord> {
     parts.iter().flatten().cloned().collect()
 }
 
-/// Split a [`Dataset`] into part-datasets named `<id>.partK`.
+/// Split a [`Dataset`] into part-datasets named `<id>.partK`, each a range
+/// view over `ds`'s records.
 pub fn split_dataset(ds: &Dataset, n: usize) -> Result<(Vec<Dataset>, SplitPlan), DatasetError> {
-    let (parts, plan) = split_records(&ds.records, n)?;
-    let out = parts
-        .into_iter()
-        .enumerate()
-        .map(|(k, recs)| {
-            Dataset::from_records(
-                format!("{}.part{k}", ds.descriptor.id),
-                format!("{} [part {k}/{n}]", ds.descriptor.name),
-                recs,
-            )
+    let plan = plan_records(&ds.records, n)?;
+    let out = (0..n)
+        .map(|k| {
+            let range = plan.record_range(k);
+            let mut part = ds
+                .range_view(
+                    format!("{}.part{k}", ds.descriptor.id),
+                    range.start,
+                    range.end,
+                )
+                .expect("a plan's ranges lie inside the records it was computed on");
+            part.descriptor.name = format!("{} [part {k}/{n}]", ds.descriptor.name);
+            part
         })
         .collect();
     Ok((out, plan))
@@ -317,6 +368,35 @@ mod tests {
     }
 
     #[test]
+    fn views_share_the_records_and_equal_the_copying_wrappers() {
+        let recs = variable_reads(57);
+        let batch = RecordBatch::new(recs.clone());
+        type Wrapper =
+            fn(&[AnyRecord], usize) -> Result<(Vec<Vec<AnyRecord>>, SplitPlan), DatasetError>;
+        type Planner = fn(&[AnyRecord], usize) -> Result<SplitPlan, DatasetError>;
+        let policies: [(Planner, Wrapper); 3] = [
+            (plan_even, split_even),
+            (plan_records, split_records),
+            (plan_chunks, split_chunks),
+        ];
+        for (planner, wrapper) in policies {
+            for n in [1, 3, 16, 100] {
+                let plan = planner(&batch, n).unwrap();
+                let (copies, wrapper_plan) = wrapper(&recs, n).unwrap();
+                assert_eq!(plan, wrapper_plan);
+                let views = plan.views(&batch);
+                assert_eq!(views.len(), copies.len());
+                for (k, (view, copy)) in views.iter().zip(&copies).enumerate() {
+                    assert_eq!(view, copy, "n={n} part {k}");
+                    if let Some(first) = view.first() {
+                        assert!(std::ptr::eq(first, &batch[plan.record_range(k).start]));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn reassemble_is_inverse() {
         let recs = variable_reads(23);
         let (parts, _) = split_records(&recs, 4).unwrap();
@@ -330,6 +410,8 @@ mod tests {
         assert_eq!(parts[0].descriptor.id.0, "lc-1.part0");
         assert_eq!(parts[1].descriptor.id.0, "lc-1.part1");
         assert_eq!(parts[0].len() + parts[1].len(), 6);
+        assert!(parts[0].descriptor.name.ends_with("[part 0/2]"));
+        assert!(std::ptr::eq(&parts[0].records[0], &ds.records[0]));
     }
 
     #[test]

@@ -60,7 +60,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use ipa_dataset::{AnyRecord, ColumnBatch};
+use ipa_dataset::{ColumnBatch, RecordBatch};
 
 use crate::ast::{BinOp, Expr, ExprKind, Program, Stmt, UnOp};
 use crate::error::ScriptError;
@@ -963,7 +963,7 @@ fn math2(b: Builtin) -> fn(f64, f64) -> f64 {
 pub fn run_fused(
     engine: &mut dyn ScriptEngine,
     kernel: Option<&mut BatchKernel>,
-    records: &Arc<Vec<AnyRecord>>,
+    records: &RecordBatch,
     columns: Option<&Arc<ColumnBatch>>,
     range: Range<usize>,
     host: &mut dyn Host,
@@ -985,7 +985,7 @@ pub fn run_fused(
     }
     let mut done = start - range.start;
     for i in start..range.end {
-        if let Err(e) = engine.process(host, RecordRef::batch(records.clone(), i)) {
+        if let Err(e) = engine.process(host, RecordRef::batch(records, i)) {
             return (done, Some(e));
         }
         done += 1;
@@ -998,7 +998,7 @@ mod tests {
     use super::*;
     use crate::interp::AidaHost;
     use crate::{compile, engine_for, ScriptBackend, ScriptFusion};
-    use ipa_dataset::TradeRecord;
+    use ipa_dataset::{AnyRecord, TradeRecord};
 
     const HIGGS_LIKE: &str = r#"
         fn init() {
@@ -1012,8 +1012,8 @@ mod tests {
         }
     "#;
 
-    fn trades(n: usize) -> Arc<Vec<AnyRecord>> {
-        Arc::new(
+    fn trades(n: usize) -> RecordBatch {
+        RecordBatch::new(
             (0..n)
                 .map(|i| {
                     AnyRecord::Trade(TradeRecord {
@@ -1031,13 +1031,13 @@ mod tests {
 
     /// Drive `src` over `records` at the given fusion level and return
     /// the host.
-    fn run_mode(src: &str, records: &Arc<Vec<AnyRecord>>, fusion: ScriptFusion) -> AidaHost {
+    fn run_mode(src: &str, records: &RecordBatch, fusion: ScriptFusion) -> AidaHost {
         let program = compile(src).unwrap();
         let mut engine = engine_for(&program, ScriptBackend::Vm, fusion).unwrap();
         let mut kernel = (fusion == ScriptFusion::Kernel)
             .then(|| BatchKernel::compile(&program))
             .flatten();
-        let columns = ColumnBatch::from_records(records.as_slice()).map(Arc::new);
+        let columns = ColumnBatch::from_records(records).map(Arc::new);
         let mut host = AidaHost::new();
         engine.run_init(&mut host).unwrap();
         let (done, err) = run_fused(
@@ -1226,7 +1226,7 @@ mod tests {
                 if q != null { fill("/m/q", q); }
             }
         "#;
-        let records: Arc<Vec<AnyRecord>> = Arc::new(
+        let records = RecordBatch::new(
             (0..50u64)
                 .map(|i| {
                     AnyRecord::Dna(ipa_dataset::DnaRead {
@@ -1287,6 +1287,60 @@ mod tests {
         let (done, err) = run_fused(engine.as_mut(), None, &records, None, 0..10, &mut host);
         assert_eq!((done, err), (10, None));
         assert_eq!(host.tree.get("/t/volume").unwrap().entries(), 10);
+    }
+
+    #[test]
+    fn parts_sharing_an_allocation_read_their_own_columns() {
+        // Staged parts are ranges of one allocation, so "same allocation"
+        // does not mean "same part": a column binding made for part 0
+        // must never answer for a record of part 1.
+        const VM_ONLY: &str = r#"
+            fn init() {
+                h1("/t/volume", 20, 0.0, 200.0);
+                h1("/t/price", 30, 0.0, 300.0);
+            }
+            fn process(t) {
+                let n = 0;
+                while n < 1 { fill("/t/volume", t.volume); n = n + 1; }
+                fill("/t/price", t.price);
+            }
+        "#;
+        let dataset = trades(90);
+        let parts = [dataset.slice(0..30), dataset.slice(30..90)];
+        let columns: Vec<Arc<ColumnBatch>> = parts
+            .iter()
+            .map(|p| Arc::new(ColumnBatch::from_records(p).unwrap()))
+            .collect();
+        for (src, vectorizes) in [(VM_ONLY, false), (HIGGS_LIKE, true)] {
+            let program = compile(src).unwrap();
+            assert_eq!(BatchKernel::compile(&program).is_some(), vectorizes);
+            // One engine fed a sequence of (part, staged with columns?).
+            let feed = |sequence: &[(usize, bool)]| {
+                let mut engine =
+                    engine_for(&program, ScriptBackend::Vm, ScriptFusion::Kernel).unwrap();
+                let mut kernel = BatchKernel::compile(&program);
+                let mut host = AidaHost::new();
+                engine.run_init(&mut host).unwrap();
+                for &(k, columnar) in sequence {
+                    let (done, err) = run_fused(
+                        engine.as_mut(),
+                        kernel.as_mut(),
+                        &parts[k],
+                        columnar.then(|| &columns[k]),
+                        0..parts[k].len(),
+                        &mut host,
+                    );
+                    assert_eq!((done, err), (parts[k].len(), None));
+                }
+                engine.run_end(&mut host).unwrap();
+                dump(&host)
+            };
+            let row_layout = feed(&[(0, false), (1, false), (0, false)]);
+            assert_eq!(feed(&[(0, true), (1, true), (0, true)]), row_layout);
+            // Part 1 arriving without a transcode leaves part 0's binding
+            // in place; its records must fall back to row reads.
+            assert_eq!(feed(&[(0, true), (1, false), (0, true)]), row_layout);
+        }
     }
 
     #[test]

@@ -173,7 +173,7 @@ pub trait ScriptEngine: Send {
     /// the bytecode VM resolves field names to column indices once here.
     fn bind_columns(
         &mut self,
-        records: &std::sync::Arc<Vec<ipa_dataset::AnyRecord>>,
+        records: &ipa_dataset::RecordBatch,
         columns: &std::sync::Arc<ipa_dataset::ColumnBatch>,
     ) {
         let _ = (records, columns);

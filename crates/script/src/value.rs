@@ -3,24 +3,19 @@
 use std::fmt;
 use std::sync::Arc;
 
-use ipa_dataset::{AnyRecord, FieldValue};
+use ipa_dataset::{AnyRecord, FieldValue, RecordBatch, RecordHandle};
 
 /// A cheap, shared handle to one dataset record: either a record with its
-/// own allocation, or an index into a shared batch. Cloning the handle
-/// clones an `Arc`, never the record data — this is what lets the engine
-/// hand its `Arc<Vec<AnyRecord>>` partitions straight to scripts without a
-/// per-record deep copy.
+/// own allocation, or one record of a shared batch. Cloning the handle
+/// bumps a reference count, never copies the record data — this is what
+/// lets the engine hand its [`RecordBatch`] parts straight to scripts
+/// without a per-record deep copy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordRef {
     /// A record with its own allocation.
     One(Arc<AnyRecord>),
-    /// One element of a shared record batch.
-    Batch {
-        /// The shared batch.
-        batch: Arc<Vec<AnyRecord>>,
-        /// Index into the batch (checked at construction).
-        index: usize,
-    },
+    /// One record of a shared record batch.
+    Batch(RecordHandle),
 }
 
 impl RecordRef {
@@ -33,16 +28,15 @@ impl RecordRef {
     ///
     /// # Panics
     /// Panics when `index` is out of bounds.
-    pub fn batch(batch: Arc<Vec<AnyRecord>>, index: usize) -> RecordRef {
-        assert!(index < batch.len(), "record index out of batch bounds");
-        RecordRef::Batch { batch, index }
+    pub fn batch(batch: &RecordBatch, index: usize) -> RecordRef {
+        RecordRef::Batch(batch.handle(index))
     }
 
     /// Borrow the underlying record.
     pub fn get(&self) -> &AnyRecord {
         match self {
             RecordRef::One(r) => r,
-            RecordRef::Batch { batch, index } => &batch[*index],
+            RecordRef::Batch(r) => r,
         }
     }
 }

@@ -13,7 +13,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use ipa_dataset::{AnyRecord, ColumnBatch};
+use ipa_dataset::{ColumnBatch, RecordBatch};
 
 use crate::ast::{BinOp, UnOp};
 use crate::bytecode::{CompiledScript, FnProto, Op};
@@ -90,9 +90,11 @@ fn put_frame(mut f: Frame) {
 /// names are resolved to column indices once here, at bind time, so the
 /// per-record `Op::FieldGet` fast path is two array reads.
 struct ColumnBinding {
-    /// The row batch the incoming `RecordRef::Batch` handles point into —
-    /// pointer identity is the fast-path guard.
-    records: Arc<Vec<AnyRecord>>,
+    /// The row batch the incoming `RecordRef::Batch` handles point into.
+    /// [`RecordBatch::row_of`] is the fast-path guard and the row lookup
+    /// in one: sharing the allocation is not enough, every part of a
+    /// dataset does, and a record of another part has no row here.
+    records: RecordBatch,
     /// The transcode of `records`.
     columns: Arc<ColumnBatch>,
     /// Column index per `script.names` entry; `None` = the name is not a
@@ -141,9 +143,9 @@ impl Vm {
     /// Bind a columnar transcode of the part about to stream through
     /// `process()`. Field names are resolved to column indices once per
     /// part; re-binding the same `(records, columns)` pair is free.
-    pub fn bind_columns(&mut self, records: &Arc<Vec<AnyRecord>>, columns: &Arc<ColumnBatch>) {
+    pub fn bind_columns(&mut self, records: &RecordBatch, columns: &Arc<ColumnBatch>) {
         if let Some(b) = &self.bound {
-            if Arc::ptr_eq(&b.records, records) && Arc::ptr_eq(&b.columns, columns) {
+            if b.records.same_view(records) && Arc::ptr_eq(&b.columns, columns) {
                 return;
             }
         }
@@ -154,7 +156,7 @@ impl Vm {
             .map(|n| columns.column_index(n).map(|i| i as u32))
             .collect();
         self.bound = Some(ColumnBinding {
-            records: Arc::clone(records),
+            records: records.clone(),
             columns: Arc::clone(columns),
             cols,
         });
@@ -302,10 +304,10 @@ impl Vm {
         name: u16,
         line: u32,
     ) -> Result<Value, ScriptError> {
-        if let (Value::Record(RecordRef::Batch { batch, index }), Some(b)) = (target, &self.bound) {
-            if Arc::ptr_eq(batch, &b.records) {
+        if let (Value::Record(RecordRef::Batch(record)), Some(b)) = (target, &self.bound) {
+            if let Some(row) = b.records.row_of(record) {
                 return match b.cols[name as usize] {
-                    Some(ci) => Ok(Value::from_field(b.columns.field_at(ci as usize, *index))),
+                    Some(ci) => Ok(Value::from_field(b.columns.field_at(ci as usize, row))),
                     None => Err(ScriptError::runtime(
                         format!(
                             "record kind '{}' has no field '{}'",
@@ -695,7 +697,7 @@ impl crate::ScriptEngine for Vm {
         Vm::fuel_budget(self)
     }
 
-    fn bind_columns(&mut self, records: &Arc<Vec<AnyRecord>>, columns: &Arc<ColumnBatch>) {
+    fn bind_columns(&mut self, records: &RecordBatch, columns: &Arc<ColumnBatch>) {
         Vm::bind_columns(self, records, columns);
     }
 
@@ -711,6 +713,7 @@ mod tests {
     use crate::parser::compile;
     use crate::resolve::compile_program;
     use crate::ScriptEngine;
+    use ipa_dataset::AnyRecord;
 
     fn vm(src: &str) -> Vm {
         Vm::new(compile_program(&compile(src).unwrap()).unwrap())
@@ -795,8 +798,8 @@ mod tests {
         assert_eq!(err, ScriptError::StackOverflow);
     }
 
-    fn trade_batch() -> Arc<Vec<AnyRecord>> {
-        Arc::new(
+    fn trade_batch() -> RecordBatch {
+        RecordBatch::new(
             (0..8u64)
                 .map(|i| {
                     AnyRecord::Trade(ipa_dataset::TradeRecord {
@@ -821,24 +824,14 @@ mod tests {
         let mut row = vm(src);
         row.run_init(&mut NullHost).unwrap();
         for i in 0..records.len() {
-            ScriptEngine::process(
-                &mut row,
-                &mut NullHost,
-                RecordRef::batch(records.clone(), i),
-            )
-            .unwrap();
+            ScriptEngine::process(&mut row, &mut NullHost, RecordRef::batch(&records, i)).unwrap();
         }
 
         let mut col = vm(src);
         col.run_init(&mut NullHost).unwrap();
         col.bind_columns(&records, &columns);
         for i in 0..records.len() {
-            ScriptEngine::process(
-                &mut col,
-                &mut NullHost,
-                RecordRef::batch(records.clone(), i),
-            )
-            .unwrap();
+            ScriptEngine::process(&mut col, &mut NullHost, RecordRef::batch(&records, i)).unwrap();
         }
 
         assert_eq!(row.global("total"), col.global("total"));
@@ -853,22 +846,14 @@ mod tests {
 
         let mut row = vm(src);
         row.run_init(&mut NullHost).unwrap();
-        let row_err = ScriptEngine::process(
-            &mut row,
-            &mut NullHost,
-            RecordRef::batch(records.clone(), 0),
-        )
-        .unwrap_err();
+        let row_err = ScriptEngine::process(&mut row, &mut NullHost, RecordRef::batch(&records, 0))
+            .unwrap_err();
 
         let mut col = vm(src);
         col.run_init(&mut NullHost).unwrap();
         col.bind_columns(&records, &columns);
-        let col_err = ScriptEngine::process(
-            &mut col,
-            &mut NullHost,
-            RecordRef::batch(records.clone(), 0),
-        )
-        .unwrap_err();
+        let col_err = ScriptEngine::process(&mut col, &mut NullHost, RecordRef::batch(&records, 0))
+            .unwrap_err();
 
         assert_eq!(row_err, col_err);
     }
@@ -886,8 +871,7 @@ mod tests {
         v.run_init(&mut NullHost).unwrap();
         v.bind_columns(&other, &columns);
         for i in 0..records.len() {
-            ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(records.clone(), i))
-                .unwrap();
+            ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(&records, i)).unwrap();
         }
         let expected: f64 = (0..8).map(|i| 100.0 + i as f64).sum();
         assert_eq!(v.global("total"), Some(Value::Num(expected)));
@@ -903,12 +887,11 @@ mod tests {
         // single new frame allocation.
         let src = "fn helper(x) { return x * 2; }\nfn process(t) { let v = helper(t.volume); }";
         let records = trade_batch();
-        let run_part = |records: &Arc<Vec<AnyRecord>>| {
+        let run_part = |records: &RecordBatch| {
             let mut v = vm(src);
             v.run_init(&mut NullHost).unwrap();
             for i in 0..records.len() {
-                ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(records.clone(), i))
-                    .unwrap();
+                ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(records, i)).unwrap();
             }
         };
         run_part(&records); // warm the pool
@@ -932,8 +915,7 @@ mod tests {
         v.run_init(&mut NullHost).unwrap();
         let records = trade_batch();
         for i in 0..6 {
-            ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(records.clone(), i))
-                .unwrap();
+            ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(&records, i)).unwrap();
         }
         // Records 0..=3 (volumes 100..=103) skip the branch: a = 4 × 10.
         // Record 4 reads x=10 (a=50) then bumps the global to 11 and adds

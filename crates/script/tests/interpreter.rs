@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use ipa_dataset::{AnyRecord, CollisionEvent, DnaRead, FourVector, Particle};
+use ipa_dataset::{AnyRecord, CollisionEvent, DnaRead, FourVector, Particle, RecordBatch};
 use ipa_script::{
     compile, engine_for, AidaHost, Interpreter, NullHost, RecordRef, ScriptBackend, ScriptEngine,
     ScriptError, ScriptFusion, Value,
@@ -427,22 +427,23 @@ fn both_backends_agree_on_a_small_analysis() {
 
 #[test]
 fn no_per_record_deep_clone_either_backend() {
-    // The engines hand records to scripts as `Arc` handles; retaining one
-    // in a global must bump the refcount instead of deep-copying. This is
-    // the regression test for the old per-record `clone()` hot path.
+    // The engines hand records to scripts as shared handles; retaining
+    // one in a global must keep pointing at the batch's own record instead
+    // of deep-copying it. This is the regression test for the old
+    // per-record `clone()` hot path.
     let src = "let keep = null; fn process(e) { keep = e; }";
     let p = compile(src).unwrap();
     for backend in [ScriptBackend::Interp, ScriptBackend::Vm] {
         let mut e = engine_for(&p, backend, ScriptFusion::from_env()).unwrap();
         e.run_init(&mut NullHost).unwrap();
-        let batch = Arc::new(vec![higgs_event(120.0)]);
-        let before = Arc::strong_count(&batch);
-        e.process(&mut NullHost, RecordRef::batch(Arc::clone(&batch), 0))
+        let batch = RecordBatch::new(vec![higgs_event(120.0)]);
+        e.process(&mut NullHost, RecordRef::batch(&batch, 0))
             .unwrap();
-        // The script kept `e` in a global: exactly one more handle, and
-        // no copy of the record data anywhere.
-        assert_eq!(Arc::strong_count(&batch), before + 1, "{backend}");
-        drop(e);
-        assert_eq!(Arc::strong_count(&batch), before, "{backend}");
+        match e.global("keep") {
+            Some(Value::Record(kept)) => {
+                assert!(std::ptr::eq(kept.get(), &batch[0]), "{backend}")
+            }
+            other => panic!("{backend}: script kept {other:?}"),
+        }
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use ipa_dataset::{
-    AnyRecord, CollisionEvent, ColumnBatch, DnaRead, FourVector, Particle, TradeRecord,
+    AnyRecord, CollisionEvent, ColumnBatch, DnaRead, FourVector, Particle, RecordBatch, TradeRecord,
 };
 use ipa_script::{
     compile, engine_for, run_fused, AidaHost, BatchKernel, NullHost, RecordRef, ScriptBackend,
@@ -63,8 +63,8 @@ fn dna_read() -> AnyRecord {
     })
 }
 
-fn trades(n: usize) -> Arc<Vec<AnyRecord>> {
-    Arc::new(
+fn trades(n: usize) -> RecordBatch {
+    RecordBatch::new(
         (0..n)
             .map(|i| {
                 AnyRecord::Trade(TradeRecord {
@@ -119,7 +119,7 @@ fn batch_transcript(
     src: &str,
     backend: ScriptBackend,
     fusion: ScriptFusion,
-    records: &Arc<Vec<AnyRecord>>,
+    records: &RecordBatch,
 ) -> Vec<String> {
     let p = compile(src).expect("generated source parses");
     let mut e = engine_for(&p, backend, fusion).expect("program resolves");
@@ -159,7 +159,7 @@ fn assert_backends_agree(src: &str, records: &[AnyRecord]) {
     }
 }
 
-fn assert_fusion_modes_agree(src: &str, records: &Arc<Vec<AnyRecord>>) {
+fn assert_fusion_modes_agree(src: &str, records: &RecordBatch) {
     let want = batch_transcript(src, MODES[0].0, MODES[0].1, records);
     for (backend, fusion) in &MODES[1..] {
         let got = batch_transcript(src, *backend, *fusion, records);
@@ -859,7 +859,7 @@ fn mixed_type_batch_has_no_columns_and_agrees() {
             if n != null { fill("/x/h", n); }
         }
     "#;
-    let records = Arc::new(vec![higgs_event(120.0), dna_read(), higgs_event(80.0)]);
+    let records = RecordBatch::new(vec![higgs_event(120.0), dna_read(), higgs_event(80.0)]);
     assert!(ColumnBatch::from_records(&records).is_none());
     assert_fusion_modes_agree(src, &records);
 }

@@ -41,7 +41,7 @@ fn arb_dna(id: u64) -> impl Strategy<Value = AnyRecord> {
         AnyRecord::Dna(DnaRead {
             read_id: id,
             sample: (id % 5) as u32,
-            bases,
+            bases: bases.into(),
             quality,
         })
     })
@@ -53,7 +53,7 @@ fn arb_trade(id: u64) -> impl Strategy<Value = AnyRecord> {
             AnyRecord::Trade(TradeRecord {
                 trade_id: id,
                 timestamp_ms: id * 3 + 1,
-                symbol,
+                symbol: symbol.into(),
                 price,
                 volume,
                 buyer_initiated: buyer,
