@@ -43,19 +43,28 @@ impl fmt::Display for TreeError {
 
 impl std::error::Error for TreeError {}
 
-/// Validate and normalize an absolute object path.
+/// Validate an absolute object path and return the key it is stored under.
 ///
 /// Rules: must start with `/`, must have at least one segment, no empty
-/// segments, no trailing slash. Returns the normalized form.
+/// segments, no trailing slash. A valid path is its own normal form, so
+/// paths are validated, never rewritten: the result is always byte-equal
+/// to `path`.
 pub fn normalize_path(path: &str) -> Result<String, TreeError> {
-    if !path.starts_with('/') {
-        return Err(TreeError::BadPath(path.to_string()));
+    let valid = path
+        .strip_prefix('/')
+        .is_some_and(|rest| rest.split('/').all(|seg| !seg.is_empty()));
+    if valid {
+        Ok(path.to_string())
+    } else {
+        Err(TreeError::BadPath(path.to_string()))
     }
-    let segs: Vec<&str> = path[1..].split('/').collect();
-    if segs.is_empty() || segs.iter().any(|s| s.is_empty()) {
-        return Err(TreeError::BadPath(path.to_string()));
-    }
-    Ok(format!("/{}", segs.join("/")))
+}
+
+/// Why a lookup of `path` found nothing. Lookups go to the map with the
+/// caller's `&str` and validate only here, on a miss, so a hit — every
+/// `fill()` of a booked histogram — allocates nothing.
+fn miss(path: &str) -> TreeError {
+    normalize_path(path).map_or_else(|bad| bad, TreeError::NotFound)
 }
 
 /// A sorted map from absolute path to [`AidaObject`].
@@ -99,27 +108,22 @@ impl Tree {
 
     /// Borrow the object at `path`.
     pub fn get(&self, path: &str) -> Result<&AidaObject, TreeError> {
-        let p = normalize_path(path)?;
-        self.objects.get(&p).ok_or(TreeError::NotFound(p))
+        self.objects.get(path).ok_or_else(|| miss(path))
     }
 
     /// Mutably borrow the object at `path`.
     pub fn get_mut(&mut self, path: &str) -> Result<&mut AidaObject, TreeError> {
-        let p = normalize_path(path)?;
-        self.objects.get_mut(&p).ok_or(TreeError::NotFound(p))
+        self.objects.get_mut(path).ok_or_else(|| miss(path))
     }
 
     /// Remove and return the object at `path`.
     pub fn remove(&mut self, path: &str) -> Result<AidaObject, TreeError> {
-        let p = normalize_path(path)?;
-        self.objects.remove(&p).ok_or(TreeError::NotFound(p))
+        self.objects.remove(path).ok_or_else(|| miss(path))
     }
 
     /// True if an object exists at `path`.
     pub fn contains(&self, path: &str) -> bool {
-        normalize_path(path)
-            .map(|p| self.objects.contains_key(&p))
-            .unwrap_or(false)
+        self.objects.contains_key(path)
     }
 
     /// All object paths, sorted.
@@ -337,6 +341,77 @@ mod tests {
         assert!(matches!(t.put("/a//b", h("x")), Err(TreeError::BadPath(_))));
         assert!(matches!(t.put("/", h("x")), Err(TreeError::BadPath(_))));
         assert!(matches!(t.put("/a/", h("x")), Err(TreeError::BadPath(_))));
+    }
+
+    /// What every lookup did before lookups stopped rebuilding the path:
+    /// split, reject empty segments, re-join, then ask the map.
+    fn rebuilt(path: &str) -> Result<String, TreeError> {
+        let bad = || TreeError::BadPath(path.to_string());
+        let segs: Vec<&str> = path.strip_prefix('/').ok_or_else(bad)?.split('/').collect();
+        if segs.iter().any(|s| s.is_empty()) {
+            return Err(bad());
+        }
+        Ok(format!("/{}", segs.join("/")))
+    }
+
+    /// `get`/`get_mut`/`contains`/`remove` on `path` against the reference:
+    /// same verdict, same error payload.
+    fn assert_lookups_match_reference(t: &Tree, path: &str) {
+        let want = match rebuilt(path) {
+            Ok(p) if t.objects.contains_key(&p) => Ok(()),
+            Ok(p) => Err(TreeError::NotFound(p)),
+            Err(e) => Err(e),
+        };
+        assert_eq!(t.get(path).map(|_| ()), want, "get({path:?})");
+        let mut scratch = t.clone();
+        assert_eq!(scratch.get_mut(path).map(|_| ()), want, "get_mut({path:?})");
+        assert_eq!(t.contains(path), want.is_ok(), "contains({path:?})");
+        assert_eq!(scratch.remove(path).map(|_| ()), want, "remove({path:?})");
+        assert_eq!(scratch.len(), t.len() - usize::from(want.is_ok()));
+        assert_eq!(normalize_path(path), rebuilt(path), "normalize({path:?})");
+    }
+
+    fn booked() -> Tree {
+        let mut t = Tree::new();
+        for p in ["/a", "/a/b", "/ab/c", "/z/y/x"] {
+            t.put(p, h(p)).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn lookups_validate_but_never_rewrite() {
+        let t = booked();
+        for path in [
+            "/a", "/a/b", "/ab/c", "/z/y/x", // hits
+            "/b", "/a/c", "/z/y", "/a/b/c", // valid misses
+            "", "/", "a", "a/b", "//", "/a/", "/a//b", "//a", "/a/b/", " /a", // invalid
+        ] {
+            assert_lookups_match_reference(&t, path);
+        }
+        assert_eq!(
+            t.get("/a//b").unwrap_err(),
+            TreeError::BadPath("/a//b".into())
+        );
+        assert_eq!(
+            t.get("/nope").unwrap_err().to_string(),
+            "no object at '/nope'"
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lookups_match_reference_on_any_string(path in "[/a-z]{0,12}") {
+            assert_lookups_match_reference(&booked(), &path);
+        }
+
+        #[test]
+        fn lookups_find_what_put_stored(path in "[/a-c]{0,6}") {
+            let mut t = booked();
+            let stored = t.put_replace(&path, h("p")).is_ok();
+            assert_eq!(stored, rebuilt(&path).is_ok());
+            assert_lookups_match_reference(&t, &path);
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! [`crate::vm::Vm`].
 //!
 //! Design notes:
-//! - **Stack machine, slot-addressed names.** Operands flow through a
-//!   per-frame value stack; variables live in flat `Vec` slots resolved at
-//!   compile time, so the hot loop never hashes a name.
+//! - **Stack machine, slot-addressed names.** Operands flow through one
+//!   value stack; variables live in flat slots resolved at compile time
+//!   (a call's slots are a window of the VM's locals stack), so the hot
+//!   loop never hashes a name.
 //! - **Dynamic-binding fidelity.** IPAScript resolves names at *use* time
 //!   (local first, then global, and unknown names only error when
 //!   executed). Slots therefore hold `Option<Value>` — `None` means "this
@@ -158,9 +159,19 @@ pub enum Op {
     /// the "range start must be numeric" error must win over any error in
     /// the end expression. The value stays put. Stack: … start → … start
     RangeStart,
-    /// Materialize `start..end` into an array, burning fuel per element
-    /// (same cost order as the tree-walk). Stack: … start end → … array
-    RangeToArray,
+    /// Set up `for … in start..end` in hidden slots `iter`/`idx`, charging
+    /// one unit of fuel per element before the first iteration. An integer
+    /// start within ±2⁵³ becomes a counter (`iter` holds the end bound,
+    /// `idx` the next value): nothing is allocated, and a range that does
+    /// not fit the remaining fuel is `OutOfFuel` here. Any other start
+    /// (fractional, non-finite) materializes the array by repeated `+ 1`,
+    /// exactly like the tree-walk. Stack: … start end → …
+    RangeInit {
+        /// Hidden slot holding the end bound (or the materialized array).
+        iter: u16,
+        /// Hidden slot holding the next value (or the array cursor).
+        idx: u16,
+    },
     /// A range expression outside `for … in`: always an error.
     RangeOutsideFor,
     /// Pop the iterable into hidden slot `iter` (must be an array) and
@@ -171,7 +182,8 @@ pub enum Op {
         /// Hidden slot holding the cursor.
         idx: u16,
     },
-    /// Push the next element and advance, or jump to `done` when
+    /// Push the next element (of the array snapshot, or of the counter
+    /// [`Op::RangeInit`] set up) and advance, or jump to `done` when
     /// exhausted. Burns one extra fuel per yielded element, matching the
     /// tree-walk's per-iteration burn.
     IterNext {

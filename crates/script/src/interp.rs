@@ -7,7 +7,7 @@ use ipa_aida::{Histogram1D, Histogram2D, Profile1D};
 
 use crate::ast::*;
 use crate::error::ScriptError;
-use crate::stdlib::call_builtin;
+use crate::stdlib::{call_builtin, checked_index};
 use crate::value::{RecordRef, Value};
 
 /// Default per-call execution budget (evaluation steps).
@@ -630,7 +630,7 @@ impl Interpreter {
                 Ok(Flow::Normal)
             }
             Stmt::For { var, iter, body } => {
-                let items: Vec<Value> = match &iter.kind {
+                let items: Arc<Vec<Value>> = match &iter.kind {
                     ExprKind::Range { start, end } => {
                         let s = self.eval(start, locals, host)?.as_num().ok_or_else(|| {
                             ScriptError::runtime("range start must be numeric", iter.line)
@@ -645,7 +645,7 @@ impl Interpreter {
                             v.push(Value::Num(x));
                             x += 1.0;
                         }
-                        v
+                        Arc::new(v)
                     }
                     _ => match self.eval(iter, locals, host)? {
                         Value::Array(a) => a,
@@ -657,9 +657,9 @@ impl Interpreter {
                         }
                     },
                 };
-                'outer: for item in items {
+                'outer: for item in items.iter() {
                     self.burn(iter.line)?;
-                    locals.insert(var.clone(), item);
+                    locals.insert(var.clone(), item.clone());
                     for s in body {
                         match self.exec(s, locals, host)? {
                             Flow::Normal => {}
@@ -694,13 +694,13 @@ impl Interpreter {
             ExprKind::Null => Ok(Value::Null),
             ExprKind::Bool(b) => Ok(Value::Bool(*b)),
             ExprKind::Num(n) => Ok(Value::Num(*n)),
-            ExprKind::Str(s) => Ok(Value::Str(s.clone())),
+            ExprKind::Str(s) => Ok(Value::str(s.as_str())),
             ExprKind::Array(items) => {
                 let mut out = Vec::with_capacity(items.len());
                 for e in items {
                     out.push(self.eval(e, locals, host)?);
                 }
-                Ok(Value::Array(out))
+                Ok(Value::array(out))
             }
             ExprKind::Var(name) => locals
                 .get(name)
@@ -811,8 +811,8 @@ pub(crate) fn eval_binary_values(
         BinOp::Eq => Ok(Value::Bool(l.equals(r))),
         BinOp::Ne => Ok(Value::Bool(!l.equals(r))),
         BinOp::Add => match (l, r) {
-            (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-            (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+            (Value::Str(a), b) => Ok(Value::str(format!("{a}{b}"))),
+            (a, Value::Str(b)) => Ok(Value::str(format!("{a}{b}"))),
             _ => arith(op, l, r, line),
         },
         BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => arith(op, l, r, line),
@@ -860,9 +860,10 @@ fn arith(op: BinOp, l: &Value, r: &Value, line: u32) -> Result<Value, ScriptErro
 
 /// Read `target[index]` (array element or string character).
 pub(crate) fn index_value(target: Value, index: &Value, line: u32) -> Result<Value, ScriptError> {
-    let i = index
+    let n = index
         .as_num()
-        .ok_or_else(|| ScriptError::runtime("index must be numeric", line))? as usize;
+        .ok_or_else(|| ScriptError::runtime("index must be numeric", line))?;
+    let i = checked_index(n, "index", line)?;
     match target {
         Value::Array(a) => a.get(i).cloned().ok_or_else(|| {
             ScriptError::runtime(format!("index {i} out of bounds (len {})", a.len()), line)
@@ -870,7 +871,7 @@ pub(crate) fn index_value(target: Value, index: &Value, line: u32) -> Result<Val
         Value::Str(s) => s
             .chars()
             .nth(i)
-            .map(|c| Value::Str(c.to_string()))
+            .map(|c| Value::str(c.to_string()))
             .ok_or_else(|| ScriptError::runtime(format!("index {i} out of string bounds"), line)),
         other => Err(ScriptError::runtime(
             format!("cannot index a {}", other.type_name()),
@@ -899,9 +900,10 @@ pub(crate) fn field_value(target: &Value, field: &str, line: u32) -> Result<Valu
 /// Convert an index-assignment index operand (checked before the variable
 /// itself is resolved — that order is observable through error messages).
 pub(crate) fn index_to_usize(index: &Value, line: u32) -> Result<usize, ScriptError> {
-    Ok(index
+    let n = index
         .as_num()
-        .ok_or_else(|| ScriptError::runtime("array index must be numeric", line))? as usize)
+        .ok_or_else(|| ScriptError::runtime("array index must be numeric", line))?;
+    checked_index(n, "array index", line)
 }
 
 /// Store `v` into `slot[i]` for an index assignment `name[i] = v`.
@@ -924,7 +926,9 @@ pub(crate) fn store_index(
             line,
         ));
     }
-    a[i] = v;
+    // Value semantics: a shared array is copied before the write, so
+    // aliases, callers and a `for` loop's snapshot keep what they had.
+    Arc::make_mut(a)[i] = v;
     Ok(())
 }
 

@@ -106,7 +106,7 @@ impl Shared {
         }
         let i = u16::try_from(self.consts.len()).map_err(|_| limits("constants"))?;
         self.str_consts.insert(s.to_string(), i);
-        self.consts.push(Value::Str(s.to_string()));
+        self.consts.push(Value::str(s));
         Ok(i)
     }
 
@@ -380,25 +380,31 @@ impl<'a> FnCompiler<'a> {
                 }
             }
             Stmt::For { var, iter, body } => {
-                // Ranges materialize inline (start, then end, then the
-                // array); anything else must already evaluate to an array.
+                // A range's bounds evaluate start first, then end; anything
+                // else must already evaluate to an array.
+                let islot = self.hidden_slot()?;
+                let xslot = self.hidden_slot()?;
                 if let ExprKind::Range { start, end } = &iter.kind {
                     self.expr(start)?;
                     self.emit(Op::RangeStart, iter.line);
                     self.expr(end)?;
-                    self.emit(Op::RangeToArray, iter.line);
+                    self.emit(
+                        Op::RangeInit {
+                            iter: islot,
+                            idx: xslot,
+                        },
+                        iter.line,
+                    );
                 } else {
                     self.expr(iter)?;
+                    self.emit(
+                        Op::IterInit {
+                            iter: islot,
+                            idx: xslot,
+                        },
+                        iter.line,
+                    );
                 }
-                let islot = self.hidden_slot()?;
-                let xslot = self.hidden_slot()?;
-                self.emit(
-                    Op::IterInit {
-                        iter: islot,
-                        idx: xslot,
-                    },
-                    iter.line,
-                );
                 let top = self.code.len();
                 let next = self.emit_patch(
                     Op::IterNext {

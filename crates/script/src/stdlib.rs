@@ -62,11 +62,11 @@ fn want_bins(v: &Value, what: &str, line: u32) -> Result<usize, ScriptError> {
     Ok(n as usize)
 }
 
-/// Checked numeric-to-index conversion shared by `substr()` and `slice()`:
-/// NaN/infinite and negative values are errors instead of silently
-/// saturating to 0; fractional parts truncate toward zero.
-fn want_index(v: &Value, what: &str, line: u32) -> Result<usize, ScriptError> {
-    let n = want_num(v, what, line)?;
+/// Checked numeric-to-index conversion shared by `substr()`, `slice()` and
+/// the indexing operators `a[i]` / `a[i] = v`: NaN/infinite and negative
+/// values are errors instead of silently saturating to 0; fractional parts
+/// truncate toward zero.
+pub(crate) fn checked_index(n: f64, what: &str, line: u32) -> Result<usize, ScriptError> {
     if !n.is_finite() {
         return Err(ScriptError::runtime(
             format!("{what} must be finite, got {n}"),
@@ -80,6 +80,10 @@ fn want_index(v: &Value, what: &str, line: u32) -> Result<usize, ScriptError> {
         ));
     }
     Ok(n as usize)
+}
+
+fn want_index(v: &Value, what: &str, line: u32) -> Result<usize, ScriptError> {
+    checked_index(want_num(v, what, line)?, what, line)
 }
 
 fn arity(
@@ -405,7 +409,7 @@ pub fn dispatch_builtin(
         }
         Builtin::Str => {
             arity(name, args, 1..=1, line)?;
-            Ok(Value::Str(format!("{}", args[0])))
+            Ok(Value::str(args[0].to_string()))
         }
         Builtin::IsNull => {
             arity(name, args, 1..=1, line)?;
@@ -429,7 +433,7 @@ pub fn dispatch_builtin(
             let start = want_index(&args[1], "substr() start", line)?;
             let n = want_index(&args[2], "substr() length", line)?;
             let out: String = s.chars().skip(start).take(n).collect();
-            Ok(Value::Str(out))
+            Ok(Value::str(out))
         }
         Builtin::Contains => {
             arity(name, args, 2..=2, line)?;
@@ -453,13 +457,13 @@ pub fn dispatch_builtin(
         }
         Builtin::Upper => {
             arity(name, args, 1..=1, line)?;
-            Ok(Value::Str(
+            Ok(Value::str(
                 want_str(&args[0], "upper() target", line)?.to_uppercase(),
             ))
         }
         Builtin::Lower => {
             arity(name, args, 1..=1, line)?;
-            Ok(Value::Str(
+            Ok(Value::str(
                 want_str(&args[0], "lower() target", line)?.to_lowercase(),
             ))
         }
@@ -467,9 +471,10 @@ pub fn dispatch_builtin(
             arity(name, args, 2..=2, line)?;
             match &args[0] {
                 Value::Array(a) => {
-                    let mut out = a.clone();
+                    let mut out = Vec::with_capacity(a.len() + 1);
+                    out.extend(a.iter().cloned());
                     out.push(args[1].clone());
-                    Ok(Value::Array(out))
+                    Ok(Value::array(out))
                 }
                 other => Err(ScriptError::runtime(
                     format!("append() needs an array, got {}", other.type_name()),
@@ -503,11 +508,8 @@ pub fn dispatch_builtin(
                     line,
                 ));
             };
-            Ok(Value::Array(
-                r.field_names()
-                    .iter()
-                    .map(|n| Value::Str(n.to_string()))
-                    .collect(),
+            Ok(Value::array(
+                r.field_names().iter().map(|n| Value::str(*n)).collect(),
             ))
         }
         // ------------------------------------------------------- host ----
@@ -646,7 +648,7 @@ pub fn dispatch_builtin(
                 ));
             };
             let mut nums = Vec::with_capacity(a.len());
-            for v in a {
+            for v in a.iter() {
                 nums.push(want_num(v, "array element", line)?);
             }
             if nums.is_empty() {
@@ -673,21 +675,17 @@ pub fn dispatch_builtin(
                 ));
             };
             let mut nums = Vec::with_capacity(a.len());
-            for v in a {
+            for v in a.iter() {
                 nums.push(want_num(v, "array element", line)?);
             }
             nums.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-            Ok(Value::Array(nums.into_iter().map(Value::Num).collect()))
+            Ok(Value::array(nums.into_iter().map(Value::Num).collect()))
         }
         Builtin::Reverse => {
             arity(name, args, 1..=1, line)?;
             match &args[0] {
-                Value::Array(a) => {
-                    let mut out = a.clone();
-                    out.reverse();
-                    Ok(Value::Array(out))
-                }
-                Value::Str(s) => Ok(Value::Str(s.chars().rev().collect())),
+                Value::Array(a) => Ok(Value::array(a.iter().rev().cloned().collect())),
+                Value::Str(s) => Ok(Value::str(s.chars().rev().collect::<String>())),
                 other => Err(ScriptError::runtime(
                     format!(
                         "reverse() needs an array or string, got {}",
@@ -707,7 +705,7 @@ pub fn dispatch_builtin(
             };
             let start = want_index(&args[1], "slice() start", line)?;
             let n = want_index(&args[2], "slice() length", line)?;
-            Ok(Value::Array(
+            Ok(Value::array(
                 a.iter().skip(start).take(n).cloned().collect(),
             ))
         }
@@ -721,9 +719,7 @@ pub fn dispatch_builtin(
                     line,
                 ));
             }
-            Ok(Value::Array(
-                s.split(sep).map(|p| Value::Str(p.to_string())).collect(),
-            ))
+            Ok(Value::array(s.split(sep).map(Value::str).collect()))
         }
         Builtin::Join => {
             arity(name, args, 2..=2, line)?;
@@ -735,14 +731,12 @@ pub fn dispatch_builtin(
             };
             let sep = want_str(&args[1], "join() separator", line)?;
             let parts: Vec<String> = a.iter().map(|v| format!("{v}")).collect();
-            Ok(Value::Str(parts.join(sep)))
+            Ok(Value::str(parts.join(sep)))
         }
         Builtin::Trim => {
             arity(name, args, 1..=1, line)?;
-            Ok(Value::Str(
-                want_str(&args[0], "trim() target", line)?
-                    .trim()
-                    .to_string(),
+            Ok(Value::str(
+                want_str(&args[0], "trim() target", line)?.trim(),
             ))
         }
     }
@@ -784,20 +778,18 @@ mod tests {
     #[test]
     fn arity_and_type_errors() {
         assert!(call("sqrt", &[]).is_err());
-        assert!(call("sqrt", &[Value::Str("x".into())]).is_err());
+        assert!(call("sqrt", &[Value::str("x")]).is_err());
         assert!(call("len", &[Value::Num(1.0)]).is_err());
     }
 
     #[test]
     fn conversions() {
-        assert!(
-            matches!(call("num", &[Value::Str(" 2.5 ".into())]).unwrap(), Value::Num(n) if n == 2.5)
-        );
+        assert!(matches!(call("num", &[Value::str(" 2.5 ")]).unwrap(), Value::Num(n) if n == 2.5));
         assert!(matches!(
-            call("num", &[Value::Str("abc".into())]).unwrap(),
+            call("num", &[Value::str("abc")]).unwrap(),
             Value::Null
         ));
-        assert!(matches!(call("str", &[Value::Num(1.0)]).unwrap(), Value::Str(s) if s == "1"));
+        assert!(matches!(call("str", &[Value::Num(1.0)]).unwrap(), Value::Str(s) if &*s == "1"));
         assert!(matches!(
             call("is_null", &[Value::Null]).unwrap(),
             Value::Bool(true)
@@ -806,31 +798,25 @@ mod tests {
 
     #[test]
     fn string_builtins() {
-        assert!(
-            matches!(call("len", &[Value::Str("abcd".into())]).unwrap(), Value::Num(n) if n == 4.0)
-        );
+        assert!(matches!(call("len", &[Value::str("abcd")]).unwrap(), Value::Num(n) if n == 4.0));
         assert!(matches!(
-            call("substr", &[Value::Str("abcdef".into()), Value::Num(2.0), Value::Num(3.0)]).unwrap(),
-            Value::Str(s) if s == "cde"
+            call("substr", &[Value::str("abcdef"), Value::Num(2.0), Value::Num(3.0)]).unwrap(),
+            Value::Str(s) if &*s == "cde"
         ));
         assert!(matches!(
-            call(
-                "contains",
-                &[Value::Str("GATTACA".into()), Value::Str("TTA".into())]
-            )
-            .unwrap(),
+            call("contains", &[Value::str("GATTACA"), Value::str("TTA")]).unwrap(),
             Value::Bool(true)
         ));
         assert!(matches!(
-            call("count_matches", &[Value::Str("AAAA".into()), Value::Str("AA".into())]).unwrap(),
+            call("count_matches", &[Value::str("AAAA"), Value::str("AA")]).unwrap(),
             Value::Num(n) if n == 3.0
         ));
     }
 
     #[test]
     fn substr_and_slice_reject_bad_indices() {
-        let s = Value::Str("abcdef".into());
-        let arr = Value::Array(vec![Value::Num(1.0), Value::Num(2.0), Value::Num(3.0)]);
+        let s = Value::str("abcdef");
+        let arr = Value::array(vec![Value::Num(1.0), Value::Num(2.0), Value::Num(3.0)]);
         // Negative start/length used to saturate to 0 silently; now an error.
         assert!(call("substr", &[s.clone(), Value::Num(-1.0), Value::Num(2.0)]).is_err());
         assert!(call("substr", &[s.clone(), Value::Num(0.0), Value::Num(-3.0)]).is_err());
@@ -850,7 +836,7 @@ mod tests {
         // In-range fractional indices truncate toward zero.
         assert!(matches!(
             call("substr", &[s, Value::Num(1.5), Value::Num(2.9)]).unwrap(),
-            Value::Str(out) if out == "bc"
+            Value::Str(out) if &*out == "bc"
         ));
         // Over-length requests still clamp at the end (half-open take).
         assert!(matches!(
@@ -865,7 +851,7 @@ mod tests {
             call(
                 "h1",
                 &[
-                    Value::Str("/h".into()),
+                    Value::str("/h"),
                     Value::Num(nbins),
                     Value::Num(0.0),
                     Value::Num(240.0),
@@ -896,7 +882,7 @@ mod tests {
         assert!(call(
             "h2",
             &[
-                Value::Str("/h2".into()),
+                Value::str("/h2"),
                 Value::Num(10.0),
                 Value::Num(0.0),
                 Value::Num(1.0),
@@ -909,7 +895,7 @@ mod tests {
         assert!(call(
             "prof",
             &[
-                Value::Str("/p".into()),
+                Value::str("/p"),
                 Value::Num(0.0),
                 Value::Num(0.0),
                 Value::Num(1.0),
@@ -920,7 +906,7 @@ mod tests {
 
     #[test]
     fn append_is_pure() {
-        let a = Value::Array(vec![Value::Num(1.0)]);
+        let a = Value::array(vec![Value::Num(1.0)]);
         let out = call("append", &[a.clone(), Value::Num(2.0)]).unwrap();
         let Value::Array(v) = out else { panic!() };
         assert_eq!(v.len(), 2);
@@ -935,7 +921,7 @@ mod tests {
 
     #[test]
     fn array_aggregates() {
-        let arr = Value::Array(vec![Value::Num(3.0), Value::Num(1.0), Value::Num(2.0)]);
+        let arr = Value::array(vec![Value::Num(3.0), Value::Num(1.0), Value::Num(2.0)]);
         assert!(
             matches!(call("sum", std::slice::from_ref(&arr)).unwrap(), Value::Num(n) if n == 6.0)
         );
@@ -948,19 +934,19 @@ mod tests {
         assert!(
             matches!(call("max_of", std::slice::from_ref(&arr)).unwrap(), Value::Num(n) if n == 3.0)
         );
-        let empty = Value::Array(vec![]);
+        let empty = Value::array(vec![]);
         assert!(
             matches!(call("sum", std::slice::from_ref(&empty)).unwrap(), Value::Num(n) if n == 0.0)
         );
         assert!(matches!(call("avg", &[empty]).unwrap(), Value::Null));
         // Non-numeric elements are an error.
-        let bad = Value::Array(vec![Value::Str("x".into())]);
+        let bad = Value::array(vec![Value::str("x")]);
         assert!(call("sum", &[bad]).is_err());
     }
 
     #[test]
     fn sort_slice_reverse() {
-        let arr = Value::Array(vec![Value::Num(3.0), Value::Num(1.0), Value::Num(2.0)]);
+        let arr = Value::array(vec![Value::Num(3.0), Value::Num(1.0), Value::Num(2.0)]);
         let Value::Array(sorted) = call("sort", std::slice::from_ref(&arr)).unwrap() else {
             panic!()
         };
@@ -977,57 +963,49 @@ mod tests {
         };
         assert!(matches!(rev[0], Value::Num(n) if n == 2.0));
         assert!(
-            matches!(call("reverse", &[Value::Str("abc".into())]).unwrap(), Value::Str(s) if s == "cba")
+            matches!(call("reverse", &[Value::str("abc")]).unwrap(), Value::Str(s) if &*s == "cba")
         );
     }
 
     #[test]
     fn split_join_trim() {
-        let Value::Array(parts) = call(
-            "split",
-            &[Value::Str("a,b,c".into()), Value::Str(",".into())],
-        )
-        .unwrap() else {
+        let Value::Array(parts) = call("split", &[Value::str("a,b,c"), Value::str(",")]).unwrap()
+        else {
             panic!()
         };
         assert_eq!(parts.len(), 3);
         assert!(matches!(
-            call("join", &[Value::Array(parts), Value::Str("-".into())]).unwrap(),
-            Value::Str(s) if s == "a-b-c"
+            call("join", &[Value::Array(parts), Value::str("-")]).unwrap(),
+            Value::Str(s) if &*s == "a-b-c"
         ));
         assert!(matches!(
-            call("trim", &[Value::Str("  x \n".into())]).unwrap(),
-            Value::Str(s) if s == "x"
+            call("trim", &[Value::str("  x \n")]).unwrap(),
+            Value::Str(s) if &*s == "x"
         ));
-        assert!(call("split", &[Value::Str("a".into()), Value::Str("".into())]).is_err());
+        assert!(call("split", &[Value::str("a"), Value::str("")]).is_err());
     }
 
     #[test]
     fn cloud_bindings_default_and_aida() {
         // NullHost rejects clouds via the default impl.
-        assert!(call("cloud1", &[Value::Str("/c".into())]).is_err());
+        assert!(call("cloud1", &[Value::str("/c")]).is_err());
         // AidaHost supports them.
         let mut host = crate::interp::AidaHost::new();
-        call_builtin("cloud1", &[Value::Str("/c".into())], 1, &mut host)
+        call_builtin("cloud1", &[Value::str("/c")], 1, &mut host)
             .unwrap()
             .unwrap();
-        call_builtin(
-            "cfill",
-            &[Value::Str("/c".into()), Value::Num(2.5)],
-            1,
-            &mut host,
-        )
-        .unwrap()
-        .unwrap();
+        call_builtin("cfill", &[Value::str("/c"), Value::Num(2.5)], 1, &mut host)
+            .unwrap()
+            .unwrap();
         assert_eq!(host.tree.get("/c").unwrap().entries(), 1);
         // Idempotent re-book, kind conflict caught.
-        call_builtin("cloud1", &[Value::Str("/c".into())], 1, &mut host)
+        call_builtin("cloud1", &[Value::str("/c")], 1, &mut host)
             .unwrap()
             .unwrap();
         call_builtin(
             "h1",
             &[
-                Value::Str("/h".into()),
+                Value::str("/h"),
                 Value::Num(5.0),
                 Value::Num(0.0),
                 Value::Num(1.0),
@@ -1037,13 +1015,10 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        assert!(call_builtin(
-            "cfill",
-            &[Value::Str("/h".into()), Value::Num(1.0)],
-            1,
-            &mut host
-        )
-        .unwrap()
-        .is_err());
+        assert!(
+            call_builtin("cfill", &[Value::str("/h"), Value::Num(1.0)], 1, &mut host)
+                .unwrap()
+                .is_err()
+        );
     }
 }

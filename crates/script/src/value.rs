@@ -62,15 +62,27 @@ pub enum Value {
     Bool(bool),
     /// 64-bit float (the only numeric type).
     Num(f64),
-    /// String.
-    Str(String),
-    /// Array with value semantics.
-    Array(Vec<Value>),
+    /// String (shared: cloning bumps a reference count).
+    Str(Arc<str>),
+    /// Array with value semantics: clones share the elements until one of
+    /// them is written through `name[i] = v`, which copies first
+    /// (`Arc::make_mut`).
+    Array(Arc<Vec<Value>>),
     /// A dataset record (shared, immutable).
     Record(RecordRef),
 }
 
 impl Value {
+    /// A string value.
+    pub fn str(s: impl Into<Arc<str>>) -> Value {
+        Value::Str(s.into())
+    }
+
+    /// An array value holding `items`.
+    pub fn array(items: Vec<Value>) -> Value {
+        Value::Array(Arc::new(items))
+    }
+
     /// Truthiness: null/false/0/""/[] are false, records are true.
     pub fn truthy(&self) -> bool {
         match self {
@@ -110,7 +122,7 @@ impl Value {
             FieldValue::Num(x) => Value::Num(x),
             FieldValue::Int(i) => Value::Num(i as f64),
             FieldValue::Bool(b) => Value::Bool(b),
-            FieldValue::Str(s) => Value::Str(s.to_string()),
+            FieldValue::Str(s) => Value::Str(s),
             FieldValue::Missing => Value::Null,
         }
     }
@@ -124,7 +136,7 @@ impl Value {
             (Value::Num(a), Value::Num(b)) => a == b,
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Array(a), Value::Array(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.equals(y))
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.equals(y))
             }
             (Value::Record(a), Value::Record(b)) => std::ptr::eq(a.get(), b.get()),
             _ => false,
@@ -163,10 +175,10 @@ mod tests {
         assert!(!Value::Null.truthy());
         assert!(!Value::Num(0.0).truthy());
         assert!(Value::Num(0.5).truthy());
-        assert!(!Value::Str(String::new()).truthy());
-        assert!(Value::Str("x".into()).truthy());
-        assert!(!Value::Array(vec![]).truthy());
-        assert!(Value::Array(vec![Value::Null]).truthy());
+        assert!(!Value::str("").truthy());
+        assert!(Value::str("x").truthy());
+        assert!(!Value::array(vec![]).truthy());
+        assert!(Value::array(vec![Value::Null]).truthy());
     }
 
     #[test]
@@ -174,21 +186,23 @@ mod tests {
         assert!(Value::Null.equals(&Value::Null));
         assert!(!Value::Null.equals(&Value::Num(0.0)));
         assert!(Value::Num(2.0).equals(&Value::Num(2.0)));
-        assert!(Value::Array(vec![Value::Num(1.0)]).equals(&Value::Array(vec![Value::Num(1.0)])));
-        assert!(!Value::Array(vec![Value::Num(1.0)]).equals(&Value::Array(vec![])));
-        assert!(!Value::Str("1".into()).equals(&Value::Num(1.0)));
+        assert!(Value::array(vec![Value::Num(1.0)]).equals(&Value::array(vec![Value::Num(1.0)])));
+        assert!(!Value::array(vec![Value::Num(1.0)]).equals(&Value::array(vec![])));
+        assert!(!Value::str("1").equals(&Value::Num(1.0)));
     }
 
     #[test]
     fn display_forms() {
         assert_eq!(format!("{}", Value::Num(1.5)), "1.5");
         assert_eq!(
-            format!(
-                "{}",
-                Value::Array(vec![Value::Num(1.0), Value::Str("a".into())])
-            ),
+            format!("{}", Value::array(vec![Value::Num(1.0), Value::str("a")])),
             "[1, a]"
         );
+    }
+
+    #[test]
+    fn value_is_three_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

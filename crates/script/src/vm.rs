@@ -1,16 +1,17 @@
 //! The bytecode virtual machine: executes a [`CompiledScript`] produced
 //! by [`crate::resolve::compile_program`].
 //!
-//! The VM is a stack machine with per-frame `Vec<Option<Value>>` local
-//! slots (compile-time resolved — the hot loop never hashes a name) and a
-//! frame pool so steady-state `process()` calls allocate nothing. Fuel is
-//! one unit per dispatched instruction, charged at the top of the loop, so
-//! runaway scripts stop with [`ScriptError::OutOfFuel`] exactly like the
+//! The VM is a stack machine. It owns one operand stack and one locals
+//! stack for all live calls: a call's local slots (compile-time resolved —
+//! the hot loop never hashes a name) are the window of the locals stack
+//! that starts at its base index, so once both stacks have grown to a
+//! script's working depth, `process()` allocates nothing. Fuel is one unit
+//! per dispatched instruction, charged at the top of the loop, so runaway
+//! scripts stop with [`ScriptError::OutOfFuel`] exactly like the
 //! tree-walk. All operator, indexing, and field semantics funnel through
 //! the shared helpers in [`crate::interp`], keeping the two backends
 //! bit-for-bit identical in results and error messages.
 
-use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use ipa_dataset::{ColumnBatch, RecordBatch};
@@ -25,66 +26,9 @@ use crate::interp::{
 use crate::stdlib::dispatch_builtin;
 use crate::value::{RecordRef, Value};
 
-/// One call frame: operand stack plus flat local slots. `None` means "this
-/// binder exists in the function but is not bound yet" — reading it is the
-/// lazy "unknown variable" error, mirroring the tree-walk's hash lookup.
-#[derive(Default)]
-struct Frame {
-    locals: Vec<Option<Value>>,
-    stack: Vec<Value>,
-    /// Per-slot `LoadEither` resolution cache, parallel to `locals`:
-    /// `true` means the last probe found the local unbound and the global
-    /// bound, so subsequent loads read the global directly. Globals never
-    /// unbind within a VM's lifetime; anything that *binds* the local slot
-    /// (`StoreLocal`, `StoreEither`'s implicit creation, `IterInit`)
-    /// clears the entry.
-    either_global: Vec<bool>,
-}
-
-thread_local! {
-    /// Frames recycled across *all* VMs on this thread, not per-VM: an
-    /// engine thread builds a fresh `Vm` per part, and per-VM pools would
-    /// re-allocate every frame at each part boundary. Engines are
-    /// single-threaded, so a thread-local needs no locking.
-    static FRAME_POOL: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    /// Pool misses on this thread (a fresh `Frame` had to be allocated).
-    static FRAME_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// How many frames this thread has allocated fresh because the pool was
-/// empty. Steady-state processing keeps this flat — the allocation-count
-/// regression tests assert exactly that across part boundaries.
-pub fn frame_allocations() -> u64 {
-    FRAME_ALLOCS.with(|c| c.get())
-}
-
-/// Check a cleared frame out of the thread pool, sized for `n_slots`.
-fn take_frame(n_slots: usize) -> Frame {
-    let mut f = FRAME_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_else(|| {
-        FRAME_ALLOCS.with(|c| c.set(c.get() + 1));
-        Frame::default()
-    });
-    f.locals.clear();
-    f.locals.resize(n_slots, None);
-    f.either_global.clear();
-    f.either_global.resize(n_slots, false);
-    f.stack.clear();
-    f
-}
-
-/// Return a frame to the thread pool (values dropped, buffers kept).
-fn put_frame(mut f: Frame) {
-    f.locals.clear();
-    f.stack.clear();
-    FRAME_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        // Cap the pool at the call-depth limit: that is the most frames
-        // any execution can have live at once.
-        if p.len() < MAX_DEPTH {
-            p.push(f);
-        }
-    });
-}
+/// Largest magnitude up to which every integer is an `f64`: a `for` range
+/// counter stays exact while it stays within ±`MAX_EXACT`.
+const MAX_EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
 
 /// A columnar view of the part currently streaming through the VM. Field
 /// names are resolved to column indices once here, at bind time, so the
@@ -108,6 +52,14 @@ pub struct Vm {
     script: Arc<CompiledScript>,
     /// Global slots, parallel to `script.globals`.
     globals: Vec<Option<Value>>,
+    /// Operands of every live call, innermost on top.
+    stack: Vec<Value>,
+    /// Local slots of every live call, innermost last: a call owns
+    /// `locals[base..base + n_slots]`. `None` means "this binder exists in
+    /// the function but is not bound yet" — reading it is the lazy
+    /// "unknown variable" error, mirroring the tree-walk's hash lookup.
+    /// Both stacks are empty between entry points, also after an error.
+    locals: Vec<Option<Value>>,
     /// Per-entry-point fuel budget.
     fuel_budget: u64,
     fuel: u64,
@@ -130,6 +82,8 @@ impl Vm {
         Vm {
             script: Arc::new(script),
             globals,
+            stack: Vec::new(),
+            locals: Vec::new(),
             fuel_budget: DEFAULT_FUEL,
             fuel: DEFAULT_FUEL,
             depth: 0,
@@ -185,23 +139,23 @@ impl Vm {
         self.fuel = self.fuel_budget;
         let script = Arc::clone(&self.script);
         let proto = &script.top_level;
-        let mut frame = take_frame(proto.n_slots as usize);
-        let r = self.exec(&script, proto, &mut frame, host);
+        self.locals.resize(proto.n_slots as usize, None);
+        let r = self.exec(&script, proto, 0, host);
         if r.is_ok() {
             // Promote bound top-level locals into their global slots; an
             // error skips promotion, same as the tree-walk's early return.
             for &(l, g) in &script.promote {
-                if let Some(v) = frame.locals[l as usize].take() {
+                if let Some(v) = self.locals[l as usize].take() {
                     self.globals[g as usize] = Some(v);
                 }
             }
         }
-        put_frame(frame);
+        self.unwind();
         r?;
         if let Some(idx) = self.init_fn {
             // Shares the budget refilled above — no second reset, matching
             // the tree-walk's single refill in run_init.
-            self.call_proto(idx, Vec::new(), host)?;
+            self.enter(idx, None, host)?;
         }
         Ok(())
     }
@@ -217,7 +171,7 @@ impl Vm {
             return Err(ScriptError::MissingEntryPoint("process"));
         };
         self.fuel = self.fuel_budget;
-        self.call_proto(idx, vec![Value::Record(record)], host)?;
+        self.enter(idx, Some(Value::Record(record)), host)?;
         Ok(())
     }
 
@@ -225,7 +179,7 @@ impl Vm {
     pub fn run_end(&mut self, host: &mut dyn Host) -> Result<(), ScriptError> {
         if let Some(idx) = self.end_fn {
             self.fuel = self.fuel_budget;
-            self.call_proto(idx, Vec::new(), host)?;
+            self.enter(idx, None, host)?;
         }
         Ok(())
     }
@@ -244,7 +198,7 @@ impl Vm {
                 0,
             ));
         };
-        self.call_proto(idx, args, host)
+        self.enter(idx, args, host)
     }
 
     /// Read a global variable (inspection from tests/tools).
@@ -253,40 +207,70 @@ impl Vm {
         self.globals[i].clone()
     }
 
-    /// Invoke proto `idx` with `args`, reusing a pooled frame. Performs
-    /// the same arity-then-depth check order as the tree-walk (arity
-    /// errors win over [`ScriptError::StackOverflow`]).
-    fn call_proto(
+    /// Invoke proto `idx` from outside the dispatch loop: the arguments go
+    /// onto the (empty) operand stack and the call proceeds as
+    /// [`Op::CallFn`] does. An error leaves operands of the calls it cut short behind, so
+    /// both stacks are emptied and the next entry starts clean.
+    fn enter(
         &mut self,
         idx: u16,
-        args: Vec<Value>,
+        args: impl IntoIterator<Item = Value>,
         host: &mut dyn Host,
     ) -> Result<Value, ScriptError> {
         let script = Arc::clone(&self.script);
-        let proto = &script.protos[idx as usize];
-        if args.len() != proto.params.len() {
+        self.stack.extend(args);
+        let argc = self.stack.len();
+        let r = self.call(&script, idx, argc, host);
+        if r.is_err() {
+            self.unwind();
+        }
+        r
+    }
+
+    /// Empty both stacks (values dropped, buffers kept).
+    fn unwind(&mut self) {
+        self.stack.clear();
+        self.locals.clear();
+    }
+
+    /// Call proto `func` with the top `argc` operands as arguments: push
+    /// its slots onto the locals stack, move the arguments into the
+    /// parameter slots, run it, pop the slots. Performs the same
+    /// arity-then-depth check order as the tree-walk (arity errors win
+    /// over [`ScriptError::StackOverflow`]).
+    fn call(
+        &mut self,
+        script: &CompiledScript,
+        func: u16,
+        argc: usize,
+        host: &mut dyn Host,
+    ) -> Result<Value, ScriptError> {
+        let callee = &script.protos[func as usize];
+        if argc != callee.params.len() {
             return Err(ScriptError::runtime(
                 format!(
                     "function '{}' takes {} arguments, got {}",
-                    proto.name,
-                    proto.params.len(),
-                    args.len()
+                    callee.name,
+                    callee.params.len(),
+                    argc
                 ),
-                proto.line,
+                callee.line,
             ));
         }
         if self.depth >= MAX_DEPTH {
             return Err(ScriptError::StackOverflow);
         }
-        let mut frame = take_frame(proto.n_slots as usize);
+        let base = self.locals.len();
+        self.locals.resize(base + callee.n_slots as usize, None);
+        let first_arg = self.stack.len() - argc;
         // Duplicate parameter names share a slot: later args overwrite.
-        for (k, v) in args.into_iter().enumerate() {
-            frame.locals[proto.params[k] as usize] = Some(v);
+        for (&slot, v) in callee.params.iter().zip(self.stack.drain(first_arg..)) {
+            self.locals[base + slot as usize] = Some(v);
         }
         self.depth += 1;
-        let r = self.exec(&script, proto, &mut frame, host);
+        let r = self.exec(script, callee, base, host);
         self.depth -= 1;
-        put_frame(frame);
+        self.locals.truncate(base);
         r
     }
 
@@ -322,13 +306,55 @@ impl Vm {
         field_value(target, script.names[name as usize].as_str(), line)
     }
 
-    /// The dispatch loop. `script` is an `Arc` clone held by the caller so
+    /// Loop state for `for … in s..e`, as (`iter` slot, `idx` slot) of
+    /// [`Op::RangeInit`], with the fuel for every element charged.
+    fn range_init(&mut self, s: f64, e: f64) -> Result<(Value, Value), ScriptError> {
+        if s.fract() == 0.0 && s.abs() <= MAX_EXACT {
+            // Integer start: the values are s, s+1, … below ⌈e⌉ (a NaN
+            // end compares false: no values), and a counter yields them.
+            let stop = e.ceil();
+            if stop > MAX_EXACT {
+                // Repeated `+ 1` sticks at 2^53, still below such an end:
+                // materialized, the range never ends but in OutOfFuel.
+                return Err(ScriptError::OutOfFuel);
+            }
+            // Both are integers within ±2^53 when stop > s.
+            let count = if stop > s {
+                (stop as i64 - s as i64) as u64
+            } else {
+                0
+            };
+            self.fuel = self.fuel.checked_sub(count).ok_or(ScriptError::OutOfFuel)?;
+            Ok((Value::Num(stop), Value::Num(s)))
+        } else {
+            let mut items = Vec::new();
+            let mut x = s;
+            while x < e {
+                // Fuel per element: a huge range runs out of fuel instead
+                // of out of memory.
+                self.fuel = self.fuel.checked_sub(1).ok_or(ScriptError::OutOfFuel)?;
+                items.push(Value::Num(x));
+                x += 1.0;
+            }
+            Ok((Value::array(items), Value::Num(0.0)))
+        }
+    }
+
+    fn bin_op(&mut self, op: BinOp, line: u32) -> Result<(), ScriptError> {
+        let r = self.stack.pop().expect("operand stack underflow");
+        let l = self.stack.pop().expect("operand stack underflow");
+        self.stack.push(eval_binary_values(op, &l, &r, line)?);
+        Ok(())
+    }
+
+    /// The dispatch loop, for the call whose local slots start at `base`.
+    /// `script` borrows from an `Arc` clone held by the entry point so
     /// `proto` can borrow from it while `self` stays mutable.
     fn exec(
         &mut self,
-        script: &Arc<CompiledScript>,
+        script: &CompiledScript,
         proto: &FnProto,
-        frame: &mut Frame,
+        base: usize,
         host: &mut dyn Host,
     ) -> Result<Value, ScriptError> {
         let code = &proto.code;
@@ -343,19 +369,19 @@ impl Vm {
             let line = lines[pc];
             pc += 1;
             match op {
-                Op::Const(i) => frame.stack.push(script.consts[i as usize].clone()),
-                Op::PushNull => frame.stack.push(Value::Null),
-                Op::PushTrue => frame.stack.push(Value::Bool(true)),
-                Op::PushFalse => frame.stack.push(Value::Bool(false)),
+                Op::Const(i) => self.stack.push(script.consts[i as usize].clone()),
+                Op::PushNull => self.stack.push(Value::Null),
+                Op::PushTrue => self.stack.push(Value::Bool(true)),
+                Op::PushFalse => self.stack.push(Value::Bool(false)),
                 Op::Pop => {
-                    frame.stack.pop().expect("operand stack underflow");
+                    self.stack.pop().expect("operand stack underflow");
                 }
-                Op::LoadLocal { slot, name } => match frame.locals[slot as usize].clone() {
-                    Some(v) => frame.stack.push(v),
+                Op::LoadLocal { slot, name } => match self.locals[base + slot as usize].clone() {
+                    Some(v) => self.stack.push(v),
                     None => return Err(unknown_var(script, name, line)),
                 },
                 Op::LoadGlobal { slot, name } => match self.globals[slot as usize].clone() {
-                    Some(v) => frame.stack.push(v),
+                    Some(v) => self.stack.push(v),
                     None => return Err(unknown_var(script, name, line)),
                 },
                 Op::LoadEither {
@@ -363,57 +389,48 @@ impl Vm {
                     global,
                     name,
                 } => {
-                    if frame.either_global[local as usize] {
-                        // Cached resolution: the local was unbound at the
-                        // last probe and globals never unbind, so the
-                        // global read cannot fail.
-                        let v = self.globals[global as usize]
-                            .clone()
-                            .expect("cached either-global unbound");
-                        frame.stack.push(v);
-                    } else if let Some(v) = frame.locals[local as usize].clone() {
-                        frame.stack.push(v);
-                    } else if let Some(v) = self.globals[global as usize].clone() {
-                        frame.either_global[local as usize] = true;
-                        frame.stack.push(v);
-                    } else {
-                        return Err(unknown_var(script, name, line));
+                    let bound = self.locals[base + local as usize]
+                        .as_ref()
+                        .or(self.globals[global as usize].as_ref());
+                    match bound {
+                        Some(v) => self.stack.push(v.clone()),
+                        None => return Err(unknown_var(script, name, line)),
                     }
                 }
                 Op::LoadUndef { name } => return Err(unknown_var(script, name, line)),
                 Op::StoreLocal { slot } => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
-                    frame.locals[slot as usize] = Some(v);
-                    frame.either_global[slot as usize] = false;
+                    let v = self.stack.pop().expect("operand stack underflow");
+                    self.locals[base + slot as usize] = Some(v);
                 }
                 Op::StoreEither { local, global } => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
-                    if frame.locals[local as usize].is_some() {
-                        frame.locals[local as usize] = Some(v);
+                    let v = self.stack.pop().expect("operand stack underflow");
+                    if self.locals[base + local as usize].is_some() {
+                        self.locals[base + local as usize] = Some(v);
                     } else if let Some(slot) = self.globals[global as usize].as_mut() {
                         *slot = v;
                     } else {
                         // Implicit creation in the current scope.
-                        frame.locals[local as usize] = Some(v);
-                        frame.either_global[local as usize] = false;
+                        self.locals[base + local as usize] = Some(v);
                     }
                 }
                 Op::IndexSetLocal { name, .. }
                 | Op::IndexSetGlobal { name, .. }
                 | Op::IndexSetEither { name, .. }
                 | Op::IndexSetUndef { name } => {
-                    let idx = frame.stack.pop().expect("operand stack underflow");
-                    let v = frame.stack.pop().expect("operand stack underflow");
+                    let idx = self.stack.pop().expect("operand stack underflow");
+                    let v = self.stack.pop().expect("operand stack underflow");
                     // Index conversion errors win over unknown-variable
                     // errors — that order is observable.
                     let i = index_to_usize(&idx, line)?;
                     let name_str = script.names[name as usize].as_str();
                     let target: Option<&mut Value> = match op {
-                        Op::IndexSetLocal { slot, .. } => frame.locals[slot as usize].as_mut(),
+                        Op::IndexSetLocal { slot, .. } => {
+                            self.locals[base + slot as usize].as_mut()
+                        }
                         Op::IndexSetGlobal { slot, .. } => self.globals[slot as usize].as_mut(),
                         Op::IndexSetEither { local, global, .. } => {
-                            if frame.locals[local as usize].is_some() {
-                                frame.locals[local as usize].as_mut()
+                            if self.locals[base + local as usize].is_some() {
+                                self.locals[base + local as usize].as_mut()
                             } else {
                                 self.globals[global as usize].as_mut()
                             }
@@ -425,67 +442,67 @@ impl Vm {
                     })?;
                     store_index(slot_val, name_str, i, v, line)?;
                 }
-                Op::Add => bin_op(frame, BinOp::Add, line)?,
-                Op::Sub => bin_op(frame, BinOp::Sub, line)?,
-                Op::Mul => bin_op(frame, BinOp::Mul, line)?,
-                Op::Div => bin_op(frame, BinOp::Div, line)?,
-                Op::Rem => bin_op(frame, BinOp::Rem, line)?,
-                Op::Eq => bin_op(frame, BinOp::Eq, line)?,
-                Op::Ne => bin_op(frame, BinOp::Ne, line)?,
-                Op::Lt => bin_op(frame, BinOp::Lt, line)?,
-                Op::Le => bin_op(frame, BinOp::Le, line)?,
-                Op::Gt => bin_op(frame, BinOp::Gt, line)?,
-                Op::Ge => bin_op(frame, BinOp::Ge, line)?,
+                Op::Add => self.bin_op(BinOp::Add, line)?,
+                Op::Sub => self.bin_op(BinOp::Sub, line)?,
+                Op::Mul => self.bin_op(BinOp::Mul, line)?,
+                Op::Div => self.bin_op(BinOp::Div, line)?,
+                Op::Rem => self.bin_op(BinOp::Rem, line)?,
+                Op::Eq => self.bin_op(BinOp::Eq, line)?,
+                Op::Ne => self.bin_op(BinOp::Ne, line)?,
+                Op::Lt => self.bin_op(BinOp::Lt, line)?,
+                Op::Le => self.bin_op(BinOp::Le, line)?,
+                Op::Gt => self.bin_op(BinOp::Gt, line)?,
+                Op::Ge => self.bin_op(BinOp::Ge, line)?,
                 Op::Neg => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
-                    frame.stack.push(eval_unary(UnOp::Neg, &v, line)?);
+                    let v = self.stack.pop().expect("operand stack underflow");
+                    self.stack.push(eval_unary(UnOp::Neg, &v, line)?);
                 }
                 Op::Not => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
-                    frame.stack.push(eval_unary(UnOp::Not, &v, line)?);
+                    let v = self.stack.pop().expect("operand stack underflow");
+                    self.stack.push(eval_unary(UnOp::Not, &v, line)?);
                 }
                 Op::Truthy => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
-                    frame.stack.push(Value::Bool(v.truthy()));
+                    let v = self.stack.pop().expect("operand stack underflow");
+                    self.stack.push(Value::Bool(v.truthy()));
                 }
                 Op::Jump(t) => pc = t as usize,
                 Op::JumpIfFalse(t) => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
+                    let v = self.stack.pop().expect("operand stack underflow");
                     if !v.truthy() {
                         pc = t as usize;
                     }
                 }
                 Op::AndCircuit(t) => {
-                    let l = frame.stack.pop().expect("operand stack underflow");
+                    let l = self.stack.pop().expect("operand stack underflow");
                     if !l.truthy() {
-                        frame.stack.push(Value::Bool(false));
+                        self.stack.push(Value::Bool(false));
                         pc = t as usize;
                     }
                 }
                 Op::OrCircuit(t) => {
-                    let l = frame.stack.pop().expect("operand stack underflow");
+                    let l = self.stack.pop().expect("operand stack underflow");
                     if l.truthy() {
-                        frame.stack.push(Value::Bool(true));
+                        self.stack.push(Value::Bool(true));
                         pc = t as usize;
                     }
                 }
                 Op::MakeArray(n) => {
-                    let base = frame.stack.len() - n as usize;
-                    let items = frame.stack.split_off(base);
-                    frame.stack.push(Value::Array(items));
+                    let first = self.stack.len() - n as usize;
+                    let items = self.stack.split_off(first);
+                    self.stack.push(Value::array(items));
                 }
                 Op::IndexGet => {
-                    let idx = frame.stack.pop().expect("operand stack underflow");
-                    let target = frame.stack.pop().expect("operand stack underflow");
-                    frame.stack.push(index_value(target, &idx, line)?);
+                    let idx = self.stack.pop().expect("operand stack underflow");
+                    let target = self.stack.pop().expect("operand stack underflow");
+                    self.stack.push(index_value(target, &idx, line)?);
                 }
                 Op::FieldGet { name } => {
-                    let t = frame.stack.pop().expect("operand stack underflow");
+                    let t = self.stack.pop().expect("operand stack underflow");
                     let v = self.read_field(script, &t, name, line)?;
-                    frame.stack.push(v);
+                    self.stack.push(v);
                 }
                 Op::RangeStart => {
-                    let v = frame.stack.last().expect("operand stack underflow");
+                    let v = self.stack.last().expect("operand stack underflow");
                     if v.as_num().is_none() {
                         return Err(ScriptError::runtime("range start must be numeric", line));
                     }
@@ -496,32 +513,23 @@ impl Vm {
                         line,
                     ));
                 }
-                Op::RangeToArray => {
-                    let end = frame.stack.pop().expect("operand stack underflow");
-                    let start = frame.stack.pop().expect("operand stack underflow");
+                Op::RangeInit { iter, idx } => {
+                    let end = self.stack.pop().expect("operand stack underflow");
+                    let start = self.stack.pop().expect("operand stack underflow");
                     let s = start.as_num().expect("start checked by RangeStart");
                     let e = end
                         .as_num()
                         .ok_or_else(|| ScriptError::runtime("range end must be numeric", line))?;
-                    let mut items = Vec::new();
-                    let mut x = s;
-                    while x < e {
-                        // Fuel per element: a huge range runs out of fuel
-                        // instead of out of memory.
-                        self.fuel = self.fuel.checked_sub(1).ok_or(ScriptError::OutOfFuel)?;
-                        items.push(Value::Num(x));
-                        x += 1.0;
-                    }
-                    frame.stack.push(Value::Array(items));
+                    let (bound, first) = self.range_init(s, e)?;
+                    self.locals[base + iter as usize] = Some(bound);
+                    self.locals[base + idx as usize] = Some(first);
                 }
                 Op::IterInit { iter, idx } => {
-                    let v = frame.stack.pop().expect("operand stack underflow");
+                    let v = self.stack.pop().expect("operand stack underflow");
                     match v {
                         Value::Array(_) => {
-                            frame.locals[iter as usize] = Some(v);
-                            frame.locals[idx as usize] = Some(Value::Num(0.0));
-                            frame.either_global[iter as usize] = false;
-                            frame.either_global[idx as usize] = false;
+                            self.locals[base + iter as usize] = Some(v);
+                            self.locals[base + idx as usize] = Some(Value::Num(0.0));
                         }
                         other => {
                             return Err(ScriptError::runtime(
@@ -532,60 +540,35 @@ impl Vm {
                     }
                 }
                 Op::IterNext { iter, idx, done } => {
-                    let i = match &frame.locals[idx as usize] {
-                        Some(Value::Num(n)) => *n as usize,
+                    let at = match &self.locals[base + idx as usize] {
+                        Some(Value::Num(n)) => *n,
                         _ => unreachable!("corrupt iterator cursor slot"),
                     };
-                    let item = match &frame.locals[iter as usize] {
-                        Some(Value::Array(a)) => a.get(i).cloned(),
-                        _ => unreachable!("corrupt iterator array slot"),
+                    let item = match &self.locals[base + iter as usize] {
+                        Some(Value::Array(a)) => a.get(at as usize).cloned(),
+                        Some(Value::Num(stop)) => (at < *stop).then_some(Value::Num(at)),
+                        _ => unreachable!("corrupt iterator slot"),
                     };
                     match item {
                         Some(v) => {
                             // One extra unit per yielded element, matching
                             // the tree-walk's per-iteration burn.
                             self.fuel = self.fuel.checked_sub(1).ok_or(ScriptError::OutOfFuel)?;
-                            frame.locals[idx as usize] = Some(Value::Num((i + 1) as f64));
-                            frame.stack.push(v);
+                            self.locals[base + idx as usize] = Some(Value::Num(at + 1.0));
+                            self.stack.push(v);
                         }
                         None => pc = done as usize,
                     }
                 }
                 Op::CallFn { func, argc } => {
-                    let callee = &script.protos[func as usize];
-                    let argc = argc as usize;
-                    // Arity error first, then depth — that order is
-                    // observable through which error surfaces.
-                    if argc != callee.params.len() {
-                        return Err(ScriptError::runtime(
-                            format!(
-                                "function '{}' takes {} arguments, got {}",
-                                callee.name,
-                                callee.params.len(),
-                                argc
-                            ),
-                            callee.line,
-                        ));
-                    }
-                    if self.depth >= MAX_DEPTH {
-                        return Err(ScriptError::StackOverflow);
-                    }
-                    let base = frame.stack.len() - argc;
-                    let mut callee_frame = take_frame(callee.n_slots as usize);
-                    for (k, v) in frame.stack.drain(base..).enumerate() {
-                        callee_frame.locals[callee.params[k] as usize] = Some(v);
-                    }
-                    self.depth += 1;
-                    let r = self.exec(script, callee, &mut callee_frame, host);
-                    self.depth -= 1;
-                    put_frame(callee_frame);
-                    frame.stack.push(r?);
+                    let v = self.call(script, func, argc as usize, host)?;
+                    self.stack.push(v);
                 }
                 Op::CallBuiltin { builtin, argc } => {
-                    let base = frame.stack.len() - argc as usize;
-                    let r = dispatch_builtin(builtin, &frame.stack[base..], line, host);
-                    frame.stack.truncate(base);
-                    frame.stack.push(r?);
+                    let first = self.stack.len() - argc as usize;
+                    let r = dispatch_builtin(builtin, &self.stack[first..], line, host);
+                    self.stack.truncate(first);
+                    self.stack.push(r?);
                 }
                 Op::CallUnknown { name } => {
                     return Err(ScriptError::runtime(
@@ -593,7 +576,7 @@ impl Vm {
                         line,
                     ));
                 }
-                Op::Return => return Ok(frame.stack.pop().expect("operand stack underflow")),
+                Op::Return => return Ok(self.stack.pop().expect("operand stack underflow")),
                 Op::ReturnNull | Op::Halt => return Ok(Value::Null),
                 Op::LooseBreak => {
                     return Err(ScriptError::runtime("break/continue outside a loop", line));
@@ -602,11 +585,11 @@ impl Vm {
                 // fuel) per fused pattern, same values/errors/lines as
                 // the constituent ops.
                 Op::LocalFieldGet { slot, name, field } => {
-                    let v = match &frame.locals[slot as usize] {
+                    let v = match &self.locals[base + slot as usize] {
                         Some(rec) => self.read_field(script, rec, field, line)?,
                         None => return Err(unknown_var(script, name, line)),
                     };
-                    frame.stack.push(v);
+                    self.stack.push(v);
                 }
                 Op::LocalConstBin {
                     slot,
@@ -614,15 +597,15 @@ impl Vm {
                     cidx,
                     op,
                 } => {
-                    let v = match &frame.locals[slot as usize] {
+                    let v = match &self.locals[base + slot as usize] {
                         Some(l) => eval_binary_values(op, l, &script.consts[cidx as usize], line)?,
                         None => return Err(unknown_var(script, name, line)),
                     };
-                    frame.stack.push(v);
+                    self.stack.push(v);
                 }
                 Op::CmpJump { op, target } => {
-                    let r = frame.stack.pop().expect("operand stack underflow");
-                    let l = frame.stack.pop().expect("operand stack underflow");
+                    let r = self.stack.pop().expect("operand stack underflow");
+                    let l = self.stack.pop().expect("operand stack underflow");
                     if !eval_binary_values(op, &l, &r, line)?.truthy() {
                         pc = target as usize;
                     }
@@ -633,7 +616,7 @@ impl Vm {
                     op,
                     target,
                 } => {
-                    let t = frame.stack.pop().expect("operand stack underflow");
+                    let t = self.stack.pop().expect("operand stack underflow");
                     let fv = self.read_field(script, &t, name, line)?;
                     if !eval_binary_values(op, &fv, &script.consts[cidx as usize], line)?.truthy() {
                         pc = target as usize;
@@ -649,13 +632,6 @@ fn unknown_var(script: &CompiledScript, name: u16, line: u32) -> ScriptError {
         format!("unknown variable '{}'", script.names[name as usize]),
         line,
     )
-}
-
-fn bin_op(frame: &mut Frame, op: BinOp, line: u32) -> Result<(), ScriptError> {
-    let r = frame.stack.pop().expect("operand stack underflow");
-    let l = frame.stack.pop().expect("operand stack underflow");
-    frame.stack.push(eval_binary_values(op, &l, &r, line)?);
-    Ok(())
 }
 
 impl crate::ScriptEngine for Vm {
@@ -770,12 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn huge_ranges_hit_fuel_not_memory() {
-        let mut v = vm("for i in 0..100000000000000000 { }").with_fuel(50_000);
-        assert_eq!(v.run_init(&mut NullHost), Err(ScriptError::OutOfFuel));
-    }
-
-    #[test]
     fn arity_error_matches_tree_walk_wording() {
         let mut v = vm("fn f(a, b) { return a + b; }");
         v.run_init(&mut NullHost).unwrap();
@@ -881,33 +851,8 @@ mod tests {
     }
 
     #[test]
-    fn frame_pool_survives_part_boundaries() {
-        // An engine builds a fresh Vm per part; the frame pool is
-        // thread-local, so the second "part" must process without a
-        // single new frame allocation.
-        let src = "fn helper(x) { return x * 2; }\nfn process(t) { let v = helper(t.volume); }";
-        let records = trade_batch();
-        let run_part = |records: &RecordBatch| {
-            let mut v = vm(src);
-            v.run_init(&mut NullHost).unwrap();
-            for i in 0..records.len() {
-                ScriptEngine::process(&mut v, &mut NullHost, RecordRef::batch(records, i)).unwrap();
-            }
-        };
-        run_part(&records); // warm the pool
-        let before = frame_allocations();
-        run_part(&records); // a brand-new Vm — same thread, same pool
-        assert_eq!(
-            frame_allocations(),
-            before,
-            "second part allocated fresh frames instead of reusing the pool"
-        );
-    }
-
-    #[test]
-    fn load_either_cache_respects_shadowing() {
-        // `x` is global; `process` reads it (caching the global
-        // resolution), mutates it through the cached path, then binds a
+    fn load_either_respects_shadowing() {
+        // `x` is global; `process` reads it, assigns it, then binds a
         // shadowing local `x` mid-body — later reads must see the local,
         // and the next call must start on the global again.
         let src = "let x = 10;\nlet a = 0;\nlet b = 0;\nfn process(t) {\n  a = a + x;\n  if t.volume > 103 { x = x + 1; let x = 1000; b = b + x; }\n}";

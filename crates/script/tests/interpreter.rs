@@ -52,9 +52,9 @@ fn arithmetic_and_precedence() {
 
 #[test]
 fn string_concatenation() {
-    assert!(matches!(run_expr("\"a\" + 1"), Value::Str(s) if s == "a1"));
-    assert!(matches!(run_expr("1 + \"a\""), Value::Str(s) if s == "1a"));
-    assert!(matches!(run_expr("\"a\" + \"b\""), Value::Str(s) if s == "ab"));
+    assert!(matches!(run_expr("\"a\" + 1"), Value::Str(s) if &*s == "a1"));
+    assert!(matches!(run_expr("1 + \"a\""), Value::Str(s) if &*s == "1a"));
+    assert!(matches!(run_expr("\"a\" + \"b\""), Value::Str(s) if &*s == "ab"));
 }
 
 #[test]

@@ -29,7 +29,7 @@ use ipa_dataset::{
 };
 use ipa_script::{
     compile, engine_for, run_fused, AidaHost, BatchKernel, NullHost, RecordRef, ScriptBackend,
-    ScriptError, ScriptFusion,
+    ScriptError, ScriptFusion, Value,
 };
 
 /// The full mode matrix, oracle first.
@@ -775,6 +775,227 @@ fn multibyte_string_literals_agree() {
     assert_backends_agree(src, &[]);
     let src = "fn main() { return upper(\"gattaca µ\"); }";
     assert_backends_agree(src, &[]);
+}
+
+/// `main()` of `src` in one mode.
+fn main_in(src: &str, backend: ScriptBackend, fusion: ScriptFusion) -> Result<Value, ScriptError> {
+    let p = compile(src).unwrap();
+    let mut e = engine_for(&p, backend, fusion).unwrap();
+    e.run_init(&mut NullHost).unwrap();
+    e.call("main", vec![], &mut NullHost)
+}
+
+#[test]
+fn bad_indices_are_errors_in_every_mode() {
+    // `as usize` used to saturate a negative or NaN index to 0, so these
+    // read or overwrote element 0. The messages are pinned per mode; the
+    // non-numeric wording is the old one.
+    let err = |msg: &str, line| Err(ScriptError::runtime(msg, line));
+    let cases: [(&str, Result<Value, ScriptError>); 13] = [
+        (
+            "return cuts[-1];",
+            err("index must not be negative, got -1", 2),
+        ),
+        (
+            "return cuts[0 / 0];",
+            err("index must be finite, got NaN", 2),
+        ),
+        (
+            "return cuts[1 / 0];",
+            err("index must be finite, got inf", 2),
+        ),
+        (
+            "return \"abc\"[-2];",
+            err("index must not be negative, got -2", 2),
+        ),
+        ("return cuts[\"x\"];", err("index must be numeric", 2)),
+        (
+            "cuts[-1] = 5;",
+            err("array index must not be negative, got -1", 2),
+        ),
+        (
+            "cuts[0 / 0] = 5;",
+            err("array index must be finite, got NaN", 2),
+        ),
+        (
+            "cuts[-1 / 0] = 5;",
+            err("array index must be finite, got -inf", 2),
+        ),
+        ("cuts[\"x\"] = 5;", err("array index must be numeric", 2)),
+        // The index error still wins over the unknown-variable error.
+        (
+            "zzz[-1] = 5;",
+            err("array index must not be negative, got -1", 2),
+        ),
+        ("zzz[0] = 5;", err("unknown variable 'zzz'", 2)),
+        // Fractions truncate toward zero, on reads and on writes.
+        ("return cuts[1.9];", Ok(Value::Num(20.0))),
+        (
+            "cuts[2.5] = 7; return cuts[2] + cuts[0];",
+            Ok(Value::Num(17.0)),
+        ),
+    ];
+    for (body, want) in cases {
+        let src = format!("let cuts = [10, 20, 30];\nfn main() {{ {body} }}");
+        for (backend, fusion) in MODES {
+            assert_eq!(
+                main_in(&src, backend, fusion),
+                want,
+                "{backend}/{fusion}: {body}"
+            );
+        }
+    }
+    // And on the per-record path of a batch, where the kernel mode falls
+    // back: element 0 must stay what it was.
+    let src = r#"
+        let cuts = [1, 2];
+        fn init() { h1("/i/h", 4, 0.0, 4.0); }
+        fn process(t) {
+            fill("/i/h", cuts[0]);
+            if t.volume == 52 { cuts[-1] = 3; }
+        }
+    "#;
+    assert_fusion_modes_agree(src, &trades(6));
+    let oracle = batch_transcript(src, MODES[0].0, MODES[0].1, &trades(6));
+    assert!(
+        oracle[1].contains("done=2") && oracle[1].contains("must not be negative, got -1"),
+        "{oracle:?}"
+    );
+}
+
+#[test]
+fn arrays_keep_value_semantics_in_every_mode() {
+    // Arrays are shared behind a reference count and copied on the first
+    // write through `name[i] = v`; none of that may show.
+    let cases = [
+        // Alias, then mutate the alias: the original keeps its element.
+        (
+            "fn main() { let a = [1, 2]; let b = a; b[0] = 9; return a[0] * 10 + b[0]; }",
+            19.0,
+        ),
+        // Mutating an array argument inside the callee is invisible outside.
+        (
+            "fn poke(x) { x[0] = 9; return x[0]; }\nfn main() { let a = [1, 2]; let r = poke(a); return a[0] * 10 + r; }",
+            19.0,
+        ),
+        // Mutating the global array inside `for x in arr`: the loop walks
+        // the snapshot it took, the global has the write.
+        (
+            "let arr = [1, 2, 3];\nfn main() { let t = 0; for x in arr { arr[2] = 100; t = t + x; } return t * 1000 + arr[2]; }",
+            6100.0,
+        ),
+        // An element that is itself an array is shared, then copied, too.
+        (
+            "fn main() { let row = [1, 2]; let m = [row, row]; row[0] = 7; let first = m[0]; return first[0] * 10 + row[0]; }",
+            17.0,
+        ),
+        // Duplicate parameter names share a slot: the last argument wins.
+        ("fn f(a, a) { return a; }\nfn main() { return f(1, 2); }", 2.0),
+        // A range counter yields what materializing the range yielded.
+        (
+            "fn main() { let t = 0; for i in (-2)..2.5 { t = t * 10 + (i + 3); } return t; }",
+            12345.0,
+        ),
+        // Fractional start: still one value per repeated `+ 1`.
+        (
+            "fn main() { let t = 0; for i in 0.5..3 { t = t + i; } return t; }",
+            4.5,
+        ),
+        // Empty and NaN-bounded ranges run no iteration.
+        (
+            "fn main() { let t = 0; for i in 3..3 { t = t + 1; } for i in 0..(0 / 0) { t = t + 1; } for i in (0 / 0)..5 { t = t + 1; } return t; }",
+            0.0,
+        ),
+        // The loop variable can be reassigned without disturbing the count.
+        (
+            "fn main() { let t = 0; for i in 0..3 { i = i * 10; t = t + i; } return t; }",
+            30.0,
+        ),
+    ];
+    for (src, want) in cases {
+        for (backend, fusion) in MODES {
+            assert_eq!(
+                main_in(src, backend, fusion),
+                Ok(Value::Num(want)),
+                "{backend}/{fusion}: {src}"
+            );
+        }
+    }
+}
+
+#[test]
+fn range_past_exact_integers_is_out_of_fuel_in_every_mode() {
+    // Repeated `+ 1` sticks at 2^53, so a range that ends above it never
+    // ends: the tree-walk burns its fuel finding out, the VM knows.
+    for src in [
+        "fn main() { for i in 0..100000000000000000 { } }",
+        "fn main() { for i in 9007199254740990..9007199254740994 { } }",
+        "fn main() { for i in 0..(1 / 0) { } }",
+        "fn main() { for i in 0..30000 { } }",
+    ] {
+        let p = compile(src).unwrap();
+        for (backend, fusion) in MODES {
+            let mut e = engine_for(&p, backend, fusion).unwrap();
+            e.set_fuel(20_000);
+            let err = e.call("main", vec![], &mut NullHost).unwrap_err();
+            assert_eq!(err, ScriptError::OutOfFuel, "{backend}/{fusion}: {src}");
+        }
+    }
+}
+
+#[test]
+fn an_error_three_calls_deep_leaves_the_next_record_clean() {
+    // Record 3 fails inside c() with operands of process(), a() and b()
+    // still on the VM's operand stack and four calls' slots on its locals
+    // stack; record 4 onwards must run as if nothing had happened.
+    let src = r#"
+        let n = 0;
+        fn init() { h1("/u/h", 8, 0.0, 8.0); }
+        fn c(t) { if n == 4 { return [1][t.volume]; } return t.volume % 7; }
+        fn b(t, k) { return k + c(t); }
+        fn a(t) { return 1 + b(t, 0) * 1; }
+        fn process(t) { n = n + 1; fill("/u/h", 0 + a(t), 1 + 0 * a(t)); }
+        fn main() { return n; }
+    "#;
+    let records: Vec<AnyRecord> = trades(8).iter().cloned().collect();
+    let want = transcript(src, MODES[0].0, MODES[0].1, &records);
+    let failed: Vec<bool> = want
+        .iter()
+        .filter(|l| l.starts_with("process:"))
+        .map(|l| l.contains("Err"))
+        .collect();
+    assert_eq!(
+        failed,
+        [false, false, false, true, false, false, false, false]
+    );
+    assert!(want.iter().any(|l| l == "main: Ok(Num(8.0))"), "{want:?}");
+    for (backend, fusion) in &MODES[1..] {
+        assert_eq!(
+            want,
+            transcript(src, *backend, *fusion, &records),
+            "{backend}/{fusion}"
+        );
+    }
+}
+
+#[test]
+fn stack_overflow_leaves_every_mode_usable() {
+    // 64 nested calls fit, the 65th is StackOverflow (before any slot of
+    // it exists), and the engine then answers as before.
+    let src = "fn f(n) { if n == 0 { return 0; } return 1 + f(n - 1); }";
+    let p = compile(src).unwrap();
+    for (backend, fusion) in MODES {
+        let mut e = engine_for(&p, backend, fusion).unwrap();
+        e.run_init(&mut NullHost).unwrap();
+        let mut f = |n: f64| e.call("f", vec![Value::Num(n)], &mut NullHost);
+        assert_eq!(f(63.0), Ok(Value::Num(63.0)), "{backend}/{fusion}");
+        assert_eq!(
+            f(64.0),
+            Err(ScriptError::StackOverflow),
+            "{backend}/{fusion}"
+        );
+        assert_eq!(f(63.0), Ok(Value::Num(63.0)), "{backend}/{fusion}");
+    }
 }
 
 // ---------------------------------------------------------------------------
