@@ -100,16 +100,48 @@ fn bench_fusion(c: &mut Criterion) {
     let mut g = c.benchmark_group("script_fusion");
     g.throughput(Throughput::Elements(records.len() as u64));
     g.bench_function("interp", |b| {
-        b.iter(|| run_mode(&program, &records, &columns, ScriptBackend::Interp, ScriptFusion::Off))
+        b.iter(|| {
+            run_mode(
+                &program,
+                &records,
+                &columns,
+                ScriptBackend::Interp,
+                ScriptFusion::Off,
+            )
+        })
     });
     g.bench_function("vm_off", |b| {
-        b.iter(|| run_mode(&program, &records, &columns, ScriptBackend::Vm, ScriptFusion::Off))
+        b.iter(|| {
+            run_mode(
+                &program,
+                &records,
+                &columns,
+                ScriptBackend::Vm,
+                ScriptFusion::Off,
+            )
+        })
     });
     g.bench_function("vm_super", |b| {
-        b.iter(|| run_mode(&program, &records, &columns, ScriptBackend::Vm, ScriptFusion::Super))
+        b.iter(|| {
+            run_mode(
+                &program,
+                &records,
+                &columns,
+                ScriptBackend::Vm,
+                ScriptFusion::Super,
+            )
+        })
     });
     g.bench_function("vm_kernel", |b| {
-        b.iter(|| run_mode(&program, &records, &columns, ScriptBackend::Vm, ScriptFusion::Kernel))
+        b.iter(|| {
+            run_mode(
+                &program,
+                &records,
+                &columns,
+                ScriptBackend::Vm,
+                ScriptFusion::Kernel,
+            )
+        })
     });
     g.finish();
 }

@@ -821,8 +821,14 @@ fn perf_cmd() {
     let (vm_kernel_rps, vm_kernel_tree) =
         fusion_mode(ipa_core::ScriptBackend::Vm, ipa_core::ScriptFusion::Kernel);
     assert_eq!(interp_tree, vm_off_tree, "vm/off diverges from tree-walk");
-    assert_eq!(interp_tree, vm_super_tree, "vm/super diverges from tree-walk");
-    assert_eq!(interp_tree, vm_kernel_tree, "vm/kernel diverges from tree-walk");
+    assert_eq!(
+        interp_tree, vm_super_tree,
+        "vm/super diverges from tree-walk"
+    );
+    assert_eq!(
+        interp_tree, vm_kernel_tree,
+        "vm/kernel diverges from tree-walk"
+    );
     let kernel_speedup = vm_kernel_rps / vm_off_rps;
     println!(
         "script fusion: interp {interp_rps:.0} rec/s, vm/off {vm_off_rps:.0}, \

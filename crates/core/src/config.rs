@@ -96,9 +96,10 @@ pub struct IpaConfig {
     /// environment variable when set, `kernel` otherwise.
     #[serde(default = "ScriptFusion::from_env")]
     pub script_fusion: ScriptFusion,
-    /// In-memory layout the data plane stages parts in. `columnar`
-    /// transcodes each part once at staging time so engines evaluate over
-    /// column slices with bulk histogram fills; `row` keeps the record
+    /// In-memory layout engines read staged parts in. Under `columnar`
+    /// each part is transcoded once, chunk by chunk by the engine that
+    /// first reads it, so engines evaluate over column slices with bulk
+    /// histogram fills; `row` keeps the record
     /// loop (the differential oracle). Results are bit-identical either
     /// way. Defaults to the `IPA_DATA_LAYOUT` environment variable when
     /// set, `columnar` otherwise.

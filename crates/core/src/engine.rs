@@ -13,14 +13,15 @@
 //! engine die after N more records, which the session uses to exercise
 //! part re-queuing.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use ipa_aida::Tree;
-use ipa_dataset::{ColumnBatch, RecordBatch};
-use ipa_script::{AidaHost, ScriptBackend, ScriptFusion};
+use ipa_dataset::{PartColumns, RecordBatch};
+use ipa_script::{AidaHost, Host, ScriptBackend, ScriptFusion};
 
 use crate::aida_manager::{PartPayload, PartUpdate};
 use crate::analyzer::{instantiate_code, AnalysisCode, Analyzer, NativeRegistry};
@@ -54,8 +55,10 @@ pub enum EngineCommand {
         /// The records: a view into the published dataset, not a copy.
         records: RecordBatch,
         /// Columnar transcode of `records` when the data plane staged one
-        /// (`DataLayout::Columnar`); `None` keeps the row path.
-        columns: Option<Arc<ColumnBatch>>,
+        /// (`DataLayout::Columnar`): the engine builds its chunks as it
+        /// first reads them, unless another holder of the same
+        /// `PartColumns` already has. `None` keeps the row path.
+        columns: Option<Arc<PartColumns>>,
         /// Run epoch this assignment belongs to.
         epoch: Epoch,
     },
@@ -162,7 +165,7 @@ pub enum EngineEvent {
 struct CurrentPart {
     id: PartId,
     records: RecordBatch,
-    columns: Option<Arc<ColumnBatch>>,
+    columns: Option<Arc<PartColumns>>,
     pos: usize,
     done: bool,
 }
@@ -211,6 +214,39 @@ struct EngineWorker {
 enum Disposition {
     Continue,
     Shutdown,
+}
+
+/// Drive rows `range` of a part through `analyzer`: one
+/// [`Analyzer::process_batch`] call under the row layout, one per chunk the
+/// range touches under the columnar one — each chunk transcoded by whoever
+/// reaches it first, usually right here. Returns the record-exact count
+/// processed and the first error, which stops the walk.
+fn process_range(
+    analyzer: &mut dyn Analyzer,
+    records: &RecordBatch,
+    columns: Option<&PartColumns>,
+    range: Range<usize>,
+    host: &mut dyn Host,
+) -> (usize, Option<String>) {
+    let Some(columns) = columns else {
+        return analyzer.process_batch(records, None, range, host);
+    };
+    let mut pos = range.start;
+    while pos < range.end {
+        let (c0, chunk) = columns.chunk_for(pos);
+        let hi = range.end.min(c0 + chunk.records.len());
+        let (n, error) = analyzer.process_batch(
+            &chunk.records,
+            chunk.columns.as_ref(),
+            pos - c0..hi - c0,
+            host,
+        );
+        pos += n;
+        if error.is_some() || pos < hi {
+            return (pos - range.start, error);
+        }
+    }
+    (pos - range.start, None)
 }
 
 impl EngineWorker {
@@ -509,14 +545,14 @@ impl EngineWorker {
         let batch_started = Instant::now();
         let mut analyzer = self.analyzer.take().expect("checked above");
         // Hand the whole publish batch to the analyzer at once: script
-        // analyzers share the part's records (and bind its columns when the
-        // data plane transcoded one) instead of deep-copying records, and
-        // vectorizing analyzers turn it into bulk histogram fills. The
+        // analyzers share the part's records instead of deep-copying them,
+        // and vectorizing analyzers turn it into bulk histogram fills. The
         // returned count stays record-exact so FailAfter/RunN/publish
         // accounting is identical across layouts.
-        let (processed, error) = analyzer.process_batch(
+        let (processed, error) = process_range(
+            analyzer.as_mut(),
             &records,
-            columns.as_ref(),
+            columns.as_deref(),
             start..start + batch,
             &mut self.host,
         );
@@ -760,7 +796,7 @@ pub fn recv_event_timeout(
 mod tests {
     use super::*;
     use crate::analyzer::builtin_registry;
-    use ipa_dataset::EventGeneratorConfig;
+    use ipa_dataset::{EventGeneratorConfig, COLUMN_CHUNK};
     use std::time::Duration;
 
     fn records(n: u64) -> RecordBatch {
@@ -789,8 +825,15 @@ mod tests {
     #[test]
     fn engine_lifecycle_ready_load_run_done() {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(0, 100, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            0,
+            100,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         recv_until(&rx, |ev| matches!(ev, EngineEvent::Ready { .. }));
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Native("higgs-search".into()),
@@ -824,8 +867,15 @@ mod tests {
     #[test]
     fn partial_updates_arrive_between_batches() -> Result<(), CoreError> {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(1, 50, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            1,
+            50,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Native("higgs-search".into()),
             epoch: 0,
@@ -953,8 +1003,15 @@ mod tests {
     #[test]
     fn injected_failure_emits_failed_event() {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(4, 10, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            4,
+            10,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Native("higgs-search".into()),
             epoch: 0,
@@ -1018,8 +1075,15 @@ mod tests {
     fn injected_failure_fires_on_zero_budget() {
         // FailAfter(0): the engine must die before processing anything.
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(9, 10, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            9,
+            10,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Native("higgs-search".into()),
             epoch: 0,
@@ -1045,8 +1109,15 @@ mod tests {
     #[test]
     fn stop_drops_position_so_run_restarts_the_part() -> Result<(), CoreError> {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(10, 50, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            10,
+            50,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Native("higgs-search".into()),
             epoch: 0,
@@ -1170,8 +1241,15 @@ mod tests {
         // 4 → pattern C D D D C(done forces nothing here: 5th publish is a
         // scheduled checkpoint, 6th is the done checkpoint).
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(13, 50, 4, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            13,
+            50,
+            4,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Native("higgs-search".into()),
             epoch: 0,
@@ -1298,8 +1376,15 @@ mod tests {
     #[test]
     fn bad_script_reports_code_error() {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(5, 10, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            5,
+            10,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Script("fn broken( {".into()),
             epoch: 0,
@@ -1311,8 +1396,15 @@ mod tests {
     #[test]
     fn run_without_code_fails_gracefully() {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(6, 10, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            6,
+            10,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::AssignPart {
             part: 0,
             records: records(10),
@@ -1331,8 +1423,15 @@ mod tests {
     #[test]
     fn script_logs_are_forwarded() {
         let (tx, rx) = unbounded();
-        let mut e =
-            EngineHandle::spawn(7, 10, 1, builtin_registry(), ScriptBackend::from_env(), ScriptFusion::from_env(), tx);
+        let mut e = EngineHandle::spawn(
+            7,
+            10,
+            1,
+            builtin_registry(),
+            ScriptBackend::from_env(),
+            ScriptFusion::from_env(),
+            tx,
+        );
         e.send(EngineCommand::LoadCode {
             code: AnalysisCode::Script("fn init() { log(\"booked\"); } fn process(ev) { }".into()),
             epoch: 0,
@@ -1352,63 +1451,188 @@ mod tests {
         e.shutdown();
     }
 
+    /// Run one part to its end on a fresh engine (after `prelude`, e.g. a
+    /// `FailAfter`): the `processed` of every update, and the done
+    /// checkpoint — or the failure message if the engine failed first.
+    fn run_part(
+        code: &AnalysisCode,
+        publish_every: usize,
+        recs: &RecordBatch,
+        columns: Option<Arc<PartColumns>>,
+        prelude: Vec<EngineCommand>,
+    ) -> (Vec<u64>, Result<Tree, String>) {
+        let (tx, rx) = unbounded();
+        let mut e = EngineHandle::spawn(
+            17,
+            publish_every,
+            1,
+            builtin_registry(),
+            ScriptBackend::Vm,
+            ScriptFusion::Kernel,
+            tx,
+        );
+        e.send(EngineCommand::LoadCode {
+            code: code.clone(),
+            epoch: 0,
+        });
+        e.send(EngineCommand::AssignPart {
+            part: 0,
+            records: recs.clone(),
+            columns,
+            epoch: 0,
+        });
+        for cmd in prelude {
+            e.send(cmd);
+        }
+        e.send(EngineCommand::Run);
+        let mut progress = Vec::new();
+        let outcome = loop {
+            match recv_event_timeout(&rx, 17, Duration::from_secs(30)).unwrap() {
+                EngineEvent::Update { update, .. } => {
+                    progress.push(update.processed);
+                    if update.done {
+                        break Ok(update.checkpoint_tree().unwrap().clone());
+                    }
+                }
+                EngineEvent::Failed { message, .. } => break Err(message),
+                _ => {}
+            }
+        };
+        e.shutdown();
+        (progress, outcome)
+    }
+
+    const KERNEL_SCRIPT: &str = "fn init() { h1(\"/s/vis\", 60, 0.0, 600.0); }\n\
+         fn process(e) { fill(\"/s/vis\", e.visible_energy); }";
+    /// A user-function call keeps the kernel out: every record goes
+    /// through the VM and its column binding.
+    const VM_SCRIPT: &str = "fn init() { h1(\"/s/vis\", 60, 0.0, 600.0); }\n\
+         fn energy(e) { return e.visible_energy; }\n\
+         fn process(e) { fill(\"/s/vis\", energy(e)); }";
+
     #[test]
-    fn columnar_assignment_matches_row_results() {
+    fn columnar_assignment_matches_row_results_across_chunk_edges() {
         // Same part, same code, both layouts: the done checkpoints must be
-        // bit-identical, and publish cadence must not drift either.
-        let recs = records(300);
-        let columns = Arc::new(ColumnBatch::from_records(&recs).expect("homogeneous events"));
+        // bit-identical and the publish cadence must not drift, although
+        // batches 6000..9000 and 15000..18000 each straddle a chunk edge.
+        let recs = records(20_000);
         for code in [
             AnalysisCode::Native("higgs-search".into()),
-            AnalysisCode::Script(
-                "fn init() { h1(\"/s/vis\", 60, 0.0, 600.0); }\n\
-                 fn process(e) { fill(\"/s/vis\", e.visible_energy); }"
-                    .into(),
-            ),
+            AnalysisCode::Script(KERNEL_SCRIPT.into()),
+            AnalysisCode::Script(VM_SCRIPT.into()),
         ] {
-            let mut trees = Vec::new();
-            let mut cadences = Vec::new();
-            for cols in [None, Some(columns.clone())] {
-                let (tx, rx) = unbounded();
-                let mut e = EngineHandle::spawn(
-                    17,
-                    50,
-                    1,
-                    builtin_registry(),
-                    ScriptBackend::from_env(),
-                    ScriptFusion::from_env(),
-                    tx,
-                );
-                e.send(EngineCommand::LoadCode {
-                    code: code.clone(),
-                    epoch: 0,
-                });
-                e.send(EngineCommand::AssignPart {
-                    part: 0,
-                    records: recs.clone(),
-                    columns: cols,
-                    epoch: 0,
-                });
-                e.send(EngineCommand::Run);
-                let mut progress = Vec::new();
-                let tree = loop {
-                    if let EngineEvent::Update { update, .. } =
-                        recv_event_timeout(&rx, 17, Duration::from_secs(10)).unwrap()
-                    {
-                        progress.push(update.processed);
-                        if update.done {
-                            break update.checkpoint_tree().unwrap().clone();
-                        }
-                    }
-                };
-                trees.push(tree);
-                cadences.push(progress);
-                e.shutdown();
-            }
-            assert_eq!(trees[0], trees[1]);
-            assert!(trees[0].total_entries() > 0);
-            assert_eq!(cadences[0], vec![50, 100, 150, 200, 250, 300]);
-            assert_eq!(cadences[0], cadences[1]);
+            let columns = Arc::new(PartColumns::new(recs.clone()));
+            let (row_cadence, row_tree) = run_part(&code, 3000, &recs, None, vec![]);
+            let (col_cadence, col_tree) =
+                run_part(&code, 3000, &recs, Some(columns.clone()), vec![]);
+            assert_eq!(
+                row_cadence,
+                vec![3000, 6000, 9000, 12000, 15000, 18000, 20000]
+            );
+            assert_eq!(row_cadence, col_cadence);
+            let row_tree = row_tree.unwrap();
+            assert_eq!(row_tree, col_tree.unwrap());
+            assert!(row_tree.total_entries() > 0);
+            assert_eq!(columns.built(), 3);
         }
+    }
+
+    #[test]
+    fn injected_faults_and_budgets_are_record_exact_at_a_chunk_edge() {
+        let recs = records(20_000);
+        let code = AnalysisCode::Native("higgs-search".into());
+        let columns = Arc::new(PartColumns::new(recs.clone()));
+        for fail_at in [COLUMN_CHUNK as u64, COLUMN_CHUNK as u64 + 1] {
+            for cols in [None, Some(columns.clone())] {
+                let prelude = vec![EngineCommand::FailAfter(fail_at)];
+                let (progress, outcome) = run_part(&code, 3000, &recs, cols, prelude);
+                // The batch the fault truncates is processed, then dropped
+                // unpublished: the last update is the batch before it.
+                assert_eq!(progress, vec![3000, 6000], "FailAfter({fail_at})");
+                assert!(outcome.unwrap_err().contains("injected"));
+            }
+        }
+
+        // RunN(8192) pauses exactly on the edge; Run resumes from there.
+        for cols in [None, Some(columns.clone())] {
+            let (tx, rx) = unbounded();
+            let mut e = EngineHandle::spawn(
+                18,
+                3000,
+                1,
+                builtin_registry(),
+                ScriptBackend::Vm,
+                ScriptFusion::Kernel,
+                tx,
+            );
+            e.send(EngineCommand::LoadCode {
+                code: code.clone(),
+                epoch: 0,
+            });
+            e.send(EngineCommand::AssignPart {
+                part: 0,
+                records: recs.clone(),
+                columns: cols,
+                epoch: 0,
+            });
+            e.send(EngineCommand::RunN(COLUMN_CHUNK));
+            let mut progress = Vec::new();
+            while progress.last() != Some(&(COLUMN_CHUNK as u64)) {
+                if let EngineEvent::Update { update, .. } =
+                    recv_event_timeout(&rx, 18, Duration::from_secs(30)).unwrap()
+                {
+                    progress.push(update.processed);
+                }
+            }
+            assert_eq!(progress, vec![3000, 6000, 8192]);
+            e.send(EngineCommand::Run);
+            let done = recv_until(
+                &rx,
+                |ev| matches!(ev, EngineEvent::Update { update, .. } if update.done),
+            );
+            let EngineEvent::Update { update, .. } = done else {
+                unreachable!()
+            };
+            assert_eq!(update.processed, 20_000);
+            e.shutdown();
+        }
+    }
+
+    #[test]
+    fn an_error_in_the_second_piece_of_a_straddling_batch_is_record_exact() {
+        // Record 8500 sits in the second chunk; the batch 6000..9000 reaches
+        // it through a second `process_batch` call. The count must be the
+        // 2500 records before it, with their fills (and the failing
+        // record's own, made before its error) applied — as on the row path.
+        let recs = records(20_000);
+        let script = "fn init() { h1(\"/s/vis\", 60, 0.0, 600.0); }\n\
+             fn process(e) {\n\
+                 fill(\"/s/vis\", e.visible_energy);\n\
+                 if e.event_id == 8500 { let x = e.no_such_field; }\n\
+             }";
+        let columns = PartColumns::new(recs.clone());
+        let mut outcomes = Vec::new();
+        for cols in [None, Some(&columns)] {
+            let mut analyzer = instantiate_code(
+                &AnalysisCode::Script(script.into()),
+                &builtin_registry(),
+                ScriptBackend::Vm,
+                ScriptFusion::Kernel,
+            )
+            .unwrap();
+            let mut host = AidaHost::new();
+            analyzer.init(&mut host).unwrap();
+            let (processed, error) =
+                process_range(analyzer.as_mut(), &recs, cols, 6000..9000, &mut host);
+            assert_eq!(processed, 2500);
+            assert!(
+                error.as_ref().unwrap().contains("no_such_field"),
+                "{error:?}"
+            );
+            assert_eq!(host.tree.get("/s/vis").unwrap().entries(), 2501);
+            outcomes.push((error, host.tree));
+        }
+        assert_eq!(outcomes[0], outcomes[1]);
+        assert_eq!(columns.built(), 2, "only the chunks the range touches");
     }
 }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant, SystemTime};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 use ipa_aida::Tree;
-use ipa_dataset::{ColumnBatch, DatasetDescriptor, DatasetId, RecordBatch};
+use ipa_dataset::{DatasetDescriptor, DatasetId, PartColumns, RecordBatch};
 use serde::{Deserialize, Serialize};
 
 use crate::aida_manager::{AidaManager, PublishOutcome, ResultPlaneStats};
@@ -154,9 +154,10 @@ pub struct Session {
     dataset_source: Option<String>,
     parts: Vec<RecordBatch>,
     /// Columnar transcodes parallel to `parts` (`None` per part under the
-    /// row layout or when a part cannot transcode); shared with engines on
-    /// every assignment so rewind/re-assign reuse them with zero copies.
-    part_columns: Vec<Option<Arc<ColumnBatch>>>,
+    /// row layout or for an empty part), built chunk by chunk by the
+    /// engines; shared with them on every assignment so rewind/re-assign/
+    /// steal/speculate reuse every chunk already built.
+    part_columns: Vec<Option<Arc<PartColumns>>>,
     queue: PartQueue,
     ledger: WorkerLedger,
     stats: SchedStats,
@@ -324,6 +325,13 @@ impl Session {
     /// The selected dataset, if any.
     pub fn dataset(&self) -> Option<&DatasetDescriptor> {
         self.dataset.as_ref()
+    }
+
+    /// The staged parts' columnar transcodes, in part order (`None` under
+    /// the row layout or for an empty part). [`PartColumns::built`] tells
+    /// how many chunks of a part any engine has read so far.
+    pub fn part_columns(&self) -> &[Option<Arc<PartColumns>>] {
+        &self.part_columns
     }
 
     /// Engine failures recorded so far (current-epoch only).
@@ -791,14 +799,16 @@ impl Session {
                     }
                 }
                 let engine = update.engine;
-                // Journal the publish exactly as the result plane sees it
+                let journaled = self.journal.is_some().then(|| update.clone());
+                let outcome = self.aida.publish(part, update);
+                // Journal the publish exactly as the result plane saw it
                 // (the completion record follows its done checkpoint, so a
                 // replayed completion is always backed by durable results).
-                if self.journal.is_some() {
-                    self.journal_event(JournalEvent::ResultUpdate {
-                        part,
-                        update: update.clone(),
-                    });
+                // Only after the plane has it: an append can compact the
+                // log down to a snapshot of the session, and a snapshot
+                // taken before the publish would erase the update.
+                if let Some(update) = journaled {
+                    self.journal_event(JournalEvent::ResultUpdate { part, update });
                     if newly_completed {
                         self.journal_event(JournalEvent::PartCompleted {
                             part,
@@ -806,7 +816,7 @@ impl Session {
                         });
                     }
                 }
-                if self.aida.publish(part, update) == PublishOutcome::NeedsResync {
+                if outcome == PublishOutcome::NeedsResync {
                     // The delta stream for this part desynced (seq gap,
                     // reassignment, invalidation). Ask the engine for a
                     // full-tree checkpoint; until it lands the manager

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use ipa_dataset::{ColumnBatch, DatasetDescriptor, RecordBatch, SplitPlan};
+use ipa_dataset::{DatasetDescriptor, PartColumns, RecordBatch, SplitPlan};
 
 use super::SplitSpec;
 
@@ -41,16 +41,17 @@ impl CacheKey {
     }
 }
 
-/// A cached cut: the parts, their columnar transcodes, and the plan they
-/// were cut under.
+/// A cached cut: the parts, their (lazily built) columnar transcodes, and
+/// the plan they were cut under.
 #[derive(Debug, Clone)]
 pub struct CachedSplit {
     /// The parts: views into the dataset the cut was made on.
     pub parts: Vec<RecordBatch>,
     /// Columnar transcodes parallel to `parts` — keyed by the same
-    /// `(dataset content, split spec)` identity, so a hit reuses the
-    /// transcode work too (`None` per part under the row layout).
-    pub columns: Vec<Option<Arc<ColumnBatch>>>,
+    /// `(dataset content, split spec)` identity, so a hit shares every
+    /// chunk any engine has built since (`None` per part under the row
+    /// layout).
+    pub columns: Vec<Option<Arc<PartColumns>>>,
     /// The plan describing the cut.
     pub plan: SplitPlan,
 }
@@ -89,7 +90,7 @@ impl SplitCache {
         descriptor: &DatasetDescriptor,
         spec: &SplitSpec,
         parts: &[RecordBatch],
-        columns: &[Option<Arc<ColumnBatch>>],
+        columns: &[Option<Arc<PartColumns>>],
         plan: &SplitPlan,
     ) {
         let key = CacheKey::new(descriptor, spec);
@@ -155,7 +156,7 @@ mod tests {
         }
     }
 
-    fn cut(n: usize) -> (Vec<RecordBatch>, Vec<Option<Arc<ColumnBatch>>>, SplitPlan) {
+    fn cut(n: usize) -> (Vec<RecordBatch>, Vec<Option<Arc<PartColumns>>>, SplitPlan) {
         (
             vec![RecordBatch::new(Vec::new()); n],
             vec![None; n],
@@ -182,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn hit_returns_the_same_transcode_arcs() {
+    fn hit_shares_the_chunks_built_since_the_put() {
         let mut c = SplitCache::default();
         let recs: Vec<AnyRecord> = (0..4)
             .map(|i| {
@@ -197,18 +198,18 @@ mod tests {
             .collect();
         let d = Dataset::from_records("t", "t", recs.clone()).descriptor;
         let parts = vec![RecordBatch::new(recs)];
-        let columns = vec![ColumnBatch::from_records(&parts[0]).map(Arc::new)];
-        assert!(columns[0].is_some());
+        let columns = vec![Some(Arc::new(PartColumns::new(parts[0].clone())))];
         let plan = SplitPlan {
             parts: 1,
             ranges: vec![(0, 4, 0)],
         };
         c.put(&d, &spec(1), &parts, &columns, &plan);
+        let ours = columns[0].as_ref().unwrap();
+        assert!(ours.chunk_for(0).1.columns.is_some());
         let hit = c.get(&d, &spec(1)).expect("hit");
-        assert!(Arc::ptr_eq(
-            hit.columns[0].as_ref().unwrap(),
-            columns[0].as_ref().unwrap()
-        ));
+        let theirs = hit.columns[0].as_ref().unwrap();
+        assert!(Arc::ptr_eq(theirs, ours));
+        assert_eq!(theirs.built(), 1);
     }
 
     #[test]

@@ -24,12 +24,16 @@
 //! ranges, the stager moves range descriptors, and the staged parts are
 //! [`RecordBatch`] views into the published dataset — a site holds one
 //! copy of a dataset however many sessions and split specs stage it.
+//! Staging reads no record either: under the columnar layout each part is
+//! wrapped in a [`PartColumns`], whose chunks the engines transcode as
+//! they first read them.
 //!
 //! The split cache is keyed by `(dataset id, record count, byte size,
 //! split policy, part count, byte_balanced)` — re-selecting the same
 //! dataset (or re-splitting for the same engine count after a rewind into
-//! a new epoch) restages in O(parts) view clones instead of re-planning,
-//! re-delivering and re-transcoding.
+//! a new epoch) restages in O(parts) view clones instead of re-planning
+//! and re-delivering, and hands back the same [`PartColumns`], so chunks
+//! any engine already transcoded are never built again.
 
 pub mod cache;
 pub mod pipeline;
@@ -38,8 +42,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ipa_dataset::{
-    plan_chunks, plan_even, plan_records, AnyRecord, ColumnBatch, DataLayout, DatasetDescriptor,
-    DatasetId, RecordBatch, SplitPlan,
+    plan_chunks, plan_even, plan_records, AnyRecord, DataLayout, DatasetDescriptor, DatasetId,
+    PartColumns, RecordBatch, SplitPlan,
 };
 use serde::{Deserialize, Serialize};
 
@@ -95,14 +99,15 @@ pub struct StagedDataset {
     pub location: DatasetLocation,
     /// The parts, ready to assign to engines: views into the dataset.
     pub parts: Vec<RecordBatch>,
-    /// Columnar transcodes parallel to `parts`: `Some` per part under
-    /// [`DataLayout::Columnar`] (unless that part cannot transcode, e.g.
-    /// it is empty), all `None` under [`DataLayout::Row`].
-    pub columns: Vec<Option<Arc<ColumnBatch>>>,
+    /// Lazily built columnar transcodes parallel to `parts`: `Some` per
+    /// non-empty part under [`DataLayout::Columnar`], all `None` under
+    /// [`DataLayout::Row`]. Staging builds no chunk of them.
+    pub columns: Vec<Option<Arc<PartColumns>>>,
     /// How the records were cut.
     pub plan: SplitPlan,
     /// True when the parts came out of the split cache (no re-plan, no
-    /// re-delivery, no re-transcode).
+    /// re-delivery; `columns` are the cached ones, chunks built so far
+    /// included).
     pub from_cache: bool,
 }
 
@@ -127,9 +132,6 @@ pub struct StagingStats {
     pub cache_hits: u64,
     /// Stage requests that had to split + transfer.
     pub cache_misses: u64,
-    /// Parts transcoded to columnar layout (cache hits reuse the cached
-    /// transcode and do not count).
-    pub parts_transcoded: u64,
     /// Chunk transfers retried after an injected/transient fault.
     pub retries: u64,
     /// Parts whose retry budget was exhausted (each one surfaced a
@@ -139,9 +141,6 @@ pub struct StagingStats {
     pub locate_ms: f64,
     /// Last stage: split planning (a pass over encoded sizes), milliseconds.
     pub split_ms: f64,
-    /// Last stage: columnar transcode pass, milliseconds (0 under the row
-    /// layout or from the cache).
-    pub transcode_ms: f64,
     /// Last stage: chunked delivery of the parts' range descriptors,
     /// retries and backoff included (wall clock), milliseconds.
     pub deliver_ms: f64,
@@ -241,7 +240,6 @@ impl DatasetPlane for SitePlane {
             if let Some(hit) = self.cache.get(&ds.descriptor, spec) {
                 self.stats.cache_hits += 1;
                 self.stats.split_ms = 0.0;
-                self.stats.transcode_ms = 0.0;
                 self.stats.deliver_ms = 0.0;
                 self.stats.sim_read_s = 0.0;
                 self.stats.sim_transfer_s = 0.0;
@@ -285,22 +283,15 @@ impl DatasetPlane for SitePlane {
         self.stats.sim_pipelined_s = outcome.sim_pipelined_s;
         self.stats.overlap_ratio = outcome.overlap_ratio;
 
-        // Columnar layout: transcode each part once, here, so engines (and
-        // every later re-assignment out of the split cache) get the
-        // vectorizable form for free. Row layout skips the pass entirely.
-        let t3 = Instant::now();
-        let columns: Vec<Option<Arc<ColumnBatch>>> = match self.layout {
-            DataLayout::Columnar => {
-                let cols: Vec<Option<Arc<ColumnBatch>>> = parts
-                    .iter()
-                    .map(|p| ColumnBatch::from_records(p).map(Arc::new))
-                    .collect();
-                self.stats.parts_transcoded += cols.iter().filter(|c| c.is_some()).count() as u64;
-                cols
-            }
-            DataLayout::Row => vec![None; parts.len()],
-        };
-        self.stats.transcode_ms = t3.elapsed().as_secs_f64() * 1e3;
+        // Columnar layout: wrap each part for lazy transcoding. The engines
+        // build the chunks, in parallel, as they first read them; whatever
+        // they build is shared through the split cache with every later
+        // assignment of the part.
+        let columnar = self.layout == DataLayout::Columnar;
+        let columns: Vec<Option<Arc<PartColumns>>> = parts
+            .iter()
+            .map(|p| (columnar && !p.is_empty()).then(|| Arc::new(PartColumns::new(p.clone()))))
+            .collect();
 
         if self.cache_enabled {
             self.cache
@@ -413,34 +404,32 @@ mod tests {
     }
 
     #[test]
-    fn columnar_layout_transcodes_once_and_cache_hits_reuse_it() {
+    fn columnar_layout_stages_untranscoded_views_and_cache_hits_share_them() {
         let config = IpaConfig {
             data_layout: DataLayout::Columnar,
             ..Default::default()
         };
-        let mut p = plane(400, &config);
+        let mut p = plane(20_000, &config);
         let spec = SplitSpec {
             micro_parts: false,
-            parts: 4,
+            parts: 2,
             byte_balanced: false,
         };
         let first = p.stage(&DatasetId::new("ds"), &spec).unwrap();
         assert_eq!(first.columns.len(), first.parts.len());
-        for (part, cols) in first.parts.iter().zip(&first.columns) {
-            let cols = cols.as_ref().expect("event parts transcode");
-            assert_eq!(cols.len(), part.len());
-            assert_eq!(cols.kind(), "event");
+        // Staging read no record: no part has a chunk yet.
+        for cols in &first.columns {
+            let cols = cols.as_ref().expect("non-empty parts get columns");
+            assert_eq!((cols.chunks(), cols.built()), (2, 0));
         }
-        assert_eq!(p.stats().parts_transcoded, 4);
-
-        // The hit hands back the same transcode Arcs — zero copies, and
-        // the counter does not move.
+        // What a reader builds, the next hit hands out — the same object.
+        first.columns[1].as_ref().unwrap().chunk_for(9_000);
         let second = p.stage(&DatasetId::new("ds"), &spec).unwrap();
         assert!(second.from_cache);
         for (a, b) in first.columns.iter().zip(&second.columns) {
             assert!(Arc::ptr_eq(a.as_ref().unwrap(), b.as_ref().unwrap()));
         }
-        assert_eq!(p.stats().parts_transcoded, 4);
+        assert_eq!(second.columns[1].as_ref().unwrap().built(), 1);
     }
 
     #[test]
@@ -460,8 +449,8 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(staged.columns, vec![None, None]);
-        assert_eq!(p.stats().parts_transcoded, 0);
+        assert_eq!(staged.columns.len(), 2);
+        assert!(staged.columns.iter().all(Option::is_none));
     }
 
     #[test]
@@ -605,12 +594,10 @@ mod tests {
             chunks_sent: 32,
             cache_hits: 2,
             cache_misses: 1,
-            parts_transcoded: 8,
             retries: 3,
             transfer_failures: 0,
             locate_ms: 0.1,
             split_ms: 1.5,
-            transcode_ms: 0.7,
             deliver_ms: 2.5,
             sim_read_s: 46.0,
             sim_transfer_s: 62.0,

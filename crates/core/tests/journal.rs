@@ -17,10 +17,10 @@ use std::time::Duration;
 use ipa_aida::Tree;
 use ipa_core::{
     decode_events, replay, session_journal_path, AnalysisCode, CoreError, IpaConfig,
-    JournalBackend, ManagerNode, RunState, SessionJournal, WsClient, WsGateway, WsRequest,
-    WsResponse,
+    JournalBackend, JournalEvent, ManagerNode, RunState, SchedulerPolicy, SessionJournal, WsClient,
+    WsGateway, WsRequest, WsResponse,
 };
-use ipa_dataset::{DatasetId, EventGeneratorConfig, GeneratorConfig};
+use ipa_dataset::{DataLayout, DatasetId, EventGeneratorConfig, GeneratorConfig};
 use ipa_simgrid::{GridProxy, SecurityDomain, VoPolicy};
 use proptest::prelude::*;
 
@@ -83,8 +83,12 @@ fn crash_dataset() -> ipa_dataset::Dataset {
 }
 
 fn manager_with(journal_dir: &str, journal: bool) -> (ManagerNode, GridProxy) {
+    manager_with_config(config(journal_dir, journal))
+}
+
+fn manager_with_config(config: IpaConfig) -> (ManagerNode, GridProxy) {
     let sec = SecurityDomain::new("crash-site", 9).with_policy(VoPolicy::new("ilc", 8));
-    let manager = ManagerNode::new("crash.site.org", sec.clone(), config(journal_dir, journal));
+    let manager = ManagerNode::new("crash.site.org", sec.clone(), config);
     manager
         .publish_dataset("/lc/crash", crash_dataset(), ipa_catalog::Metadata::new())
         .unwrap();
@@ -232,6 +236,143 @@ proptest! {
             chaos_case(kill_polls);
         }
     }
+}
+
+/// Chunks of the staged parts' transcodes built so far, part by part.
+fn chunks_built(s: &ipa_core::Session) -> Vec<usize> {
+    s.part_columns()
+        .iter()
+        .map(|c| c.as_ref().expect("columnar layout").built())
+        .collect()
+}
+
+#[test]
+fn recovering_a_finished_session_reads_no_record() {
+    let dir = temp_journal_dir("finished");
+    let columnar = || IpaConfig {
+        data_layout: DataLayout::Columnar,
+        ..config(&dir, true)
+    };
+    let (manager_a, proxy) = manager_with_config(columnar());
+    let mut s = manager_a.create_session(&proxy, 0.0, ENGINES).unwrap();
+    let id = s.id();
+    s.select_dataset(&DatasetId::new("lc-crash")).unwrap();
+    assert_eq!(chunks_built(&s), [0; ENGINES], "select stages views only");
+    s.load_code(AnalysisCode::Native("higgs-search".into()))
+        .unwrap();
+    s.run().unwrap();
+    s.wait_finished(Duration::from_secs(60)).unwrap();
+    assert_eq!(chunks_built(&s), [1; ENGINES]);
+    let pre_tree = s.results().unwrap();
+    drop(s);
+    drop(manager_a);
+
+    let (manager_b, _proxy) = manager_with_config(columnar());
+    let mut r = manager_b.recover_session(id).unwrap();
+    assert_eq!(r.poll().unwrap().state, RunState::Finished);
+    assert_eq!(r.results().unwrap(), pre_tree);
+    assert_eq!(&*pre_tree, reference_tree());
+    assert_eq!(chunks_built(&r), [0; ENGINES], "nothing left to run");
+    r.close();
+    cleanup(&dir);
+}
+
+#[test]
+fn recovering_a_paused_session_reads_only_the_parts_left_to_run() {
+    // Eight micro-parts of 250 events on two engines; a budget of 600
+    // events each completes two parts per engine and stops 100 records
+    // into a third, leaving two parts untouched.
+    let dir = temp_journal_dir("paused");
+    let micro = || IpaConfig {
+        data_layout: DataLayout::Columnar,
+        scheduler: SchedulerPolicy::WorkQueue,
+        oversub: 4,
+        ..config(&dir, true)
+    };
+    let (manager_a, proxy) = manager_with_config(micro());
+    let session = || {
+        let mut s = manager_a.create_session(&proxy, 0.0, ENGINES).unwrap();
+        s.select_dataset(&DatasetId::new("lc-crash")).unwrap();
+        s.load_code(AnalysisCode::Native("higgs-search".into()))
+            .unwrap();
+        s
+    };
+    // The uninterrupted run of the same eight parts, for the final tree.
+    let mut whole = session();
+    whole.run().unwrap();
+    whole.wait_finished(Duration::from_secs(60)).unwrap();
+    let uninterrupted = whole.results().unwrap();
+    whole.close();
+
+    let mut s = session();
+    let id = s.id();
+    s.run_events(600).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let st = s.poll().unwrap();
+        if st.records_processed == 1_200 {
+            assert_eq!((st.parts_done, st.parts_total), (4, 8));
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "budget never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(s);
+    drop(manager_a);
+
+    let (manager_b, _proxy) = manager_with_config(micro());
+    let mut r = manager_b.recover_session(id).unwrap();
+    let st = r.poll().unwrap();
+    assert_eq!((st.state, st.parts_done), (RunState::Paused, 4));
+    assert_eq!(chunks_built(&r), [0; 8], "recovery stages views only");
+    r.run().unwrap();
+    r.wait_finished(Duration::from_secs(60)).unwrap();
+    // The four durably complete parts were never read again.
+    let built = chunks_built(&r);
+    assert_eq!(built.iter().filter(|&&b| b == 0).count(), 4, "{built:?}");
+    assert_eq!(built.iter().filter(|&&b| b == 1).count(), 4, "{built:?}");
+    assert_eq!(r.results().unwrap(), uninterrupted);
+    r.close();
+    cleanup(&dir);
+}
+
+/// A whole run journaled to memory, compacting every `compact_every`
+/// appends (0 = never): the journal as the last update left it, and the
+/// merged tree.
+fn journaled_run(compact_every: u64) -> (Vec<JournalEvent>, Arc<Tree>) {
+    let dir = temp_journal_dir("compact");
+    let (manager, proxy) = manager_with(&dir, false);
+    let mut s = manager.create_session(&proxy, 0.0, ENGINES).unwrap();
+    let backend = JournalBackend::memory();
+    let handle = backend.handle().unwrap();
+    s.attach_journal(SessionJournal::new(backend, compact_every));
+    s.select_dataset(&DatasetId::new("lc-crash")).unwrap();
+    s.load_code(AnalysisCode::Native("higgs-search".into()))
+        .unwrap();
+    s.run().unwrap();
+    s.wait_finished(Duration::from_secs(60)).unwrap();
+    let events = decode_events(&handle.lock());
+    let tree = s.results().unwrap();
+    s.close();
+    cleanup(&dir);
+    (events, tree)
+}
+
+#[test]
+fn an_update_whose_append_compacts_the_log_is_in_the_snapshot() {
+    // Find the append that carries the run's last update, then compact
+    // exactly there: the snapshot that replaces the log must hold it.
+    let (events, _) = journaled_run(0);
+    let last_update = events
+        .iter()
+        .rposition(|e| matches!(e, JournalEvent::ResultUpdate { .. }))
+        .expect("a run publishes");
+    let (compacted, tree) = journaled_run(last_update as u64 + 1);
+    assert!(matches!(compacted[0], JournalEvent::Snapshot(_)));
+    assert!(compacted.len() < events.len());
+    let mut recovered = replay(&compacted, 8, 1);
+    assert_eq!(recovered.aida.snapshot().unwrap(), tree);
+    assert_eq!(&*tree, reference_tree());
 }
 
 #[test]

@@ -211,6 +211,63 @@ fn rewind_under_work_stealing_restages_the_whole_queue() {
     s.close();
 }
 
+/// One chaotic session per layout — an injected mid-part engine kill and a
+/// rewind mid-run under work stealing — must merge to the same histograms.
+/// Per-batch fills are bit-identical by construction; this pins the whole
+/// pipeline (lazily transcoded staged parts, cached-split reuse after the
+/// rewind, engine batch dispatch, merge) to the row oracle.
+fn assert_columnar_matches_row(
+    events: u64,
+    publish_every: usize,
+    oversub: usize,
+    kill_engine: usize,
+    kill_after: u64,
+) {
+    let run = |layout: DataLayout| -> Tree {
+        let (manager, proxy) = manager_with(
+            events,
+            IpaConfig {
+                scheduler: SchedulerPolicy::WorkStealing,
+                engines_per_session: 3,
+                oversub,
+                publish_every,
+                data_layout: layout,
+                ..Default::default()
+            },
+        );
+        let mut s = manager.create_session(&proxy, 0.0, 3).unwrap();
+        s.select_dataset(&DatasetId::new("lc-sched")).unwrap();
+        s.load_code(AnalysisCode::Native("higgs-search".into()))
+            .unwrap();
+        s.inject_failure(kill_engine, kill_after);
+        // Start, let a few publishes land, then rewind: the restaged
+        // epoch must reuse the cached split (and, under the columnar
+        // layout, the chunks transcoded so far) without double-counting
+        // anything.
+        s.run().unwrap();
+        for _ in 0..10 {
+            s.poll().unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        s.rewind().unwrap();
+        s.run().unwrap();
+        let st = s.wait_finished(Duration::from_secs(60)).unwrap();
+        assert_eq!(st.records_processed, events);
+        assert_eq!(st.parts_done, st.parts_total);
+        let out = s.results().unwrap().as_ref().clone();
+        s.close();
+        out
+    };
+
+    let row_tree = run(DataLayout::Row);
+    let col_tree = run(DataLayout::Columnar);
+    assert_eq!(row_tree.get("/higgs/n_btags").unwrap().entries(), events);
+    assert_eq!(col_tree.get("/higgs/n_btags").unwrap().entries(), events);
+    assert_same_merge(&row_tree, &col_tree, "/higgs/n_btags");
+    assert_same_merge(&row_tree, &col_tree, "/higgs/bb_mass");
+    assert_same_merge(&row_tree, &col_tree, "/higgs/visible_energy");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -337,10 +394,8 @@ proptest! {
 
     /// PR 8 satellite: the columnar data plane must merge bin-for-bin like
     /// the row plane under chaos — random oversubscription and publish
-    /// cadence, an injected mid-part engine kill, and a rewind mid-run.
-    /// Per-batch fills are bit-identical by construction; this pins the
-    /// whole pipeline (staging transcode, cached-split reuse after the
-    /// rewind, engine batch dispatch, merge) to the row oracle.
+    /// cadence, an injected mid-part engine kill, and a rewind mid-run
+    /// (see [`assert_columnar_matches_row`]).
     #[test]
     fn chaotic_columnar_plane_matches_row_plane(
         publish_every in 20usize..=200,
@@ -348,44 +403,15 @@ proptest! {
         kill_engine in 0usize..3,
         kill_after in 0u64..400,
     ) {
-        const EVENTS: u64 = 600;
-        let run = |layout: DataLayout| -> Tree {
-            let (manager, proxy) = manager_with(EVENTS, IpaConfig {
-                scheduler: SchedulerPolicy::WorkStealing,
-                engines_per_session: 3,
-                oversub,
-                publish_every,
-                data_layout: layout,
-                ..Default::default()
-            });
-            let mut s = manager.create_session(&proxy, 0.0, 3).unwrap();
-            s.select_dataset(&DatasetId::new("lc-sched")).unwrap();
-            s.load_code(AnalysisCode::Native("higgs-search".into())).unwrap();
-            s.inject_failure(kill_engine, kill_after);
-            // Start, let a few publishes land, then rewind: the restaged
-            // epoch must reuse the cached split (and its transcodes under
-            // the columnar layout) without double-counting anything.
-            s.run().unwrap();
-            for _ in 0..10 {
-                s.poll().unwrap();
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            s.rewind().unwrap();
-            s.run().unwrap();
-            let st = s.wait_finished(Duration::from_secs(60)).unwrap();
-            assert_eq!(st.records_processed, EVENTS);
-            assert_eq!(st.parts_done, st.parts_total);
-            let out = s.results().unwrap().as_ref().clone();
-            s.close();
-            out
-        };
-
-        let row_tree = run(DataLayout::Row);
-        let col_tree = run(DataLayout::Columnar);
-        prop_assert_eq!(row_tree.get("/higgs/n_btags").unwrap().entries(), EVENTS);
-        prop_assert_eq!(col_tree.get("/higgs/n_btags").unwrap().entries(), EVENTS);
-        assert_same_merge(&row_tree, &col_tree, "/higgs/n_btags");
-        assert_same_merge(&row_tree, &col_tree, "/higgs/bb_mass");
-        assert_same_merge(&row_tree, &col_tree, "/higgs/visible_energy");
+        assert_columnar_matches_row(600, publish_every, oversub, kill_engine, kill_after);
     }
+}
+
+/// The chaos case above with parts longer than a transcode chunk: four
+/// chunks' worth of events in three parts, publish batches that straddle
+/// the chunk edge at 8192, and an engine killed one record past it.
+#[test]
+fn columnar_plane_matches_row_plane_across_chunk_edges() {
+    let chunk = ipa_dataset::COLUMN_CHUNK as u64;
+    assert_columnar_matches_row(4 * chunk, 3000, 1, 1, chunk + 1);
 }

@@ -20,13 +20,17 @@ fn setup(engines: usize) -> (ManagerNode, ipa_simgrid::GridProxy) {
 }
 
 fn setup_with(config: IpaConfig) -> (ManagerNode, ipa_simgrid::GridProxy) {
+    setup_sized(config, DATASET_EVENTS)
+}
+
+fn setup_sized(config: IpaConfig, events: u64) -> (ManagerNode, ipa_simgrid::GridProxy) {
     let sec = SecurityDomain::new("slac-osg", 99).with_policy(VoPolicy::new("ilc", 16));
     let manager = ManagerNode::new("slac.stanford.edu", sec.clone(), config);
     let ds = ipa_dataset::generate_dataset(
         "lc-higgs",
         "Simulated LC events",
         &GeneratorConfig::Event(EventGeneratorConfig {
-            events: DATASET_EVENTS,
+            events,
             ..Default::default()
         }),
     );
@@ -111,7 +115,18 @@ fn parallel_result_equals_serial_reference() {
 
 #[test]
 fn intermediate_results_stream_in_before_completion() {
-    let (manager, proxy) = setup(2);
+    // Two transcode chunks per part: however fast the kernel path gets
+    // through a chunk's batches, building the next chunk (milliseconds)
+    // sits between two of an engine's publishes, so a 200 µs poll lands
+    // inside the run. With a part of one chunk the whole part used to fit
+    // between two polls now and then.
+    const EVENTS: u64 = 4 * ipa_dataset::COLUMN_CHUNK as u64;
+    let config = IpaConfig {
+        engines_per_session: 2,
+        publish_every: 200,
+        ..Default::default()
+    };
+    let (manager, proxy) = setup_sized(config, EVENTS);
     let mut s = manager.create_session(&proxy, 0.0, 2).unwrap();
     s.select_dataset(&DatasetId::new("lc-higgs")).unwrap();
     s.load_code(AnalysisCode::Native("higgs-search".into()))
@@ -123,7 +138,7 @@ fn intermediate_results_stream_in_before_completion() {
     let mut saw_partial = false;
     loop {
         let st = s.poll().unwrap();
-        if st.records_processed > 0 && st.records_processed < DATASET_EVENTS {
+        if st.records_processed > 0 && st.records_processed < EVENTS {
             saw_partial = true;
         }
         if st.state == RunState::Finished || std::time::Instant::now() > deadline {

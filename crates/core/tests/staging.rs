@@ -69,16 +69,27 @@ fn reselect_is_a_cache_hit_with_identical_results() {
     assert!(st.chunks_sent >= st.parts_staged, "parts move as ≥1 chunk");
     assert!(st.bytes_moved > 0);
 
+    // Selecting read no record (vacuous under the row layout, which has
+    // no columns): the engines transcode their parts as they run them.
+    let columns: Vec<_> = s.part_columns().iter().flatten().cloned().collect();
+    assert!(columns.iter().all(|c| c.built() == 0));
+
     s.load_code(AnalysisCode::Native("higgs-search".into()))
         .unwrap();
     s.run().unwrap();
     s.wait_finished(Duration::from_secs(60)).unwrap();
     let first = s.results().unwrap();
     let staged_once = s.staging_stats();
+    assert!(columns.iter().all(|c| c.built() == c.chunks()));
 
     // Re-selecting the same dataset restages from the split cache: no new
-    // parts or bytes move, and the rerun is bit-identical.
+    // parts or bytes move, the parts come with the chunks the first run
+    // built, and the rerun is bit-identical.
     s.select_dataset(&DatasetId::new("ds")).unwrap();
+    let again = s.part_columns().iter().flatten();
+    assert!(again
+        .zip(&columns)
+        .all(|(a, b)| std::sync::Arc::ptr_eq(a, b) && a.built() == a.chunks()));
     let st = s.staging_stats();
     assert_eq!(st.cache_hits, 1, "re-select must hit the split cache");
     assert_eq!(st.cache_misses, 1);

@@ -16,10 +16,11 @@
 //! including `Missing` patterns and the original f64 bit patterns of
 //! derived quantities.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
+use crate::batch::RecordBatch;
 use crate::record::{AnyRecord, FieldValue, RecordFields};
 
 /// Which in-memory layout the data plane hands to engines.
@@ -28,8 +29,9 @@ use crate::record::{AnyRecord, FieldValue, RecordFields};
 pub enum DataLayout {
     /// Rows: engines read `AnyRecord`s directly (the differential oracle).
     Row,
-    /// Columns: staging transcodes each part into a [`ColumnBatch`] and
-    /// engines take the vectorized path.
+    /// Columns: staging wraps each part in a [`PartColumns`], engines
+    /// transcode it chunk by chunk as they first read it and take the
+    /// vectorized path.
     Columnar,
 }
 
@@ -154,8 +156,8 @@ impl Column {
 
 /// A homogeneous record slice transcoded to columnar layout.
 ///
-/// Immutable after construction; shared between the staging cache, the
-/// session, and engines as `Arc<ColumnBatch>` so re-select and rewind reuse
+/// Immutable after construction; a part's chunks hold theirs as
+/// `Arc<ColumnBatch>` (see [`PartColumns`]) so re-select and rewind reuse
 /// the transcode with zero copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnBatch {
@@ -259,6 +261,89 @@ impl ColumnBatch {
     }
 }
 
+/// Rows per lazily built chunk of a part's transcode. About 2–3 ms of
+/// [`ColumnBatch::from_records`] at the measured 3–4 M records/s, so an
+/// engine's first publish lands within a few poll periods of `run()`; small
+/// enough that two engines never wait long on one cell, large enough that
+/// the per-chunk builders and bindings vanish against the walk. A constant,
+/// not a knob: no caller has a reason to want another value.
+pub const COLUMN_CHUNK: usize = 8192;
+
+/// One [`COLUMN_CHUNK`]-row piece of a part, transcoded.
+pub struct ColumnChunk {
+    /// The chunk's rows. One long-lived view per chunk, so identity-keyed
+    /// bindings ([`RecordBatch::same_view`]) survive from batch to batch.
+    pub records: RecordBatch,
+    /// Transcode of `records`; `None` when they do not transcode (mixed
+    /// record kinds or a field changing type) and the row path applies.
+    pub columns: Option<Arc<ColumnBatch>>,
+}
+
+/// The columnar transcode of one staged part, built a chunk at a time by
+/// whoever first reads the chunk and shared by everyone after.
+///
+/// Constructing one reads no record. The split cache, the session and every
+/// engine the part is ever assigned to (re-run, steal, speculative
+/// duplicate) hold the same `Arc<PartColumns>`, so a chunk is transcoded at
+/// most once per cut however many times the part is processed.
+pub struct PartColumns {
+    records: RecordBatch,
+    cells: Vec<OnceLock<ColumnChunk>>,
+}
+
+impl PartColumns {
+    /// Wrap a part's records; no chunk is built yet.
+    pub fn new(records: RecordBatch) -> Self {
+        let cells = (0..records.len().div_ceil(COLUMN_CHUNK))
+            .map(|_| OnceLock::new())
+            .collect();
+        PartColumns { records, cells }
+    }
+
+    /// Number of chunks the part divides into (`⌈len / COLUMN_CHUNK⌉`).
+    pub fn chunks(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Number of chunks built so far.
+    pub fn built(&self) -> usize {
+        self.cells.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// The chunk holding part row `row` and the part row it starts at,
+    /// transcoding it first if nobody has. Concurrent callers of one chunk
+    /// block on a single build; the same `&ColumnChunk` comes back for as
+    /// long as the `PartColumns` lives.
+    ///
+    /// # Panics
+    /// Panics when `row` is outside the part.
+    pub fn chunk_for(&self, row: usize) -> (usize, &ColumnChunk) {
+        assert!(
+            row < self.records.len(),
+            "row {row} outside a part of {} records",
+            self.records.len()
+        );
+        let start = row - row % COLUMN_CHUNK;
+        let chunk = self.cells[row / COLUMN_CHUNK].get_or_init(|| {
+            let end = (start + COLUMN_CHUNK).min(self.records.len());
+            let records = self.records.slice(start..end);
+            let columns = ColumnBatch::from_records(&records).map(Arc::new);
+            ColumnChunk { records, columns }
+        });
+        (start, chunk)
+    }
+}
+
+impl std::fmt::Debug for PartColumns {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PartColumns")
+            .field("records", &self.records.len())
+            .field("chunks", &self.chunks())
+            .field("built", &self.built())
+            .finish()
+    }
+}
+
 /// Incremental single-column builder. The column type is pinned by the
 /// first concrete value; leading `Missing` slots are back-filled with the
 /// type default once the type is known.
@@ -268,6 +353,13 @@ struct ColumnBuilder {
     any_missing: bool,
     rows: usize,
     cap: usize,
+    /// Filler for `Missing` slots of a string column, allocated once.
+    empty: Option<Arc<str>>,
+}
+
+/// The builder's shared filler string, allocated on first use.
+fn empty_str(slot: &mut Option<Arc<str>>) -> Arc<str> {
+    slot.get_or_insert_with(|| Arc::from("")).clone()
 }
 
 enum BuilderData {
@@ -287,6 +379,7 @@ impl ColumnBuilder {
             any_missing: false,
             rows: 0,
             cap,
+            empty: None,
         }
     }
 
@@ -302,7 +395,7 @@ impl ColumnBuilder {
                 BuilderData::F64(v) => v.push(0.0),
                 BuilderData::I64(v) => v.push(0),
                 BuilderData::Bool(v) => v.push(false),
-                BuilderData::Str(v) => v.push(Arc::from("")),
+                BuilderData::Str(v) => v.push(empty_str(&mut self.empty)),
             }
             return true;
         }
@@ -319,7 +412,7 @@ impl ColumnBuilder {
                 BuilderData::F64(v) => v.resize(n, 0.0),
                 BuilderData::I64(v) => v.resize(n, 0),
                 BuilderData::Bool(v) => v.resize(n, false),
-                BuilderData::Str(v) => v.resize(n, Arc::from("")),
+                BuilderData::Str(v) => v.resize(n, empty_str(&mut self.empty)),
                 BuilderData::Untyped(_) => unreachable!(),
             }
             self.data = typed;
@@ -497,6 +590,96 @@ mod tests {
         for row in 0..2 {
             assert_eq!(batch.field("bb_mass", row), Some(FieldValue::Missing));
         }
+    }
+
+    /// `n` particle-free events: cheap enough to build several chunks of.
+    fn bare_events(n: usize) -> RecordBatch {
+        RecordBatch::new(
+            (0..n as u64)
+                .map(|i| {
+                    AnyRecord::Event(CollisionEvent {
+                        event_id: i,
+                        run: 1,
+                        sqrt_s: 500.0,
+                        is_signal: i % 2 == 0,
+                        particles: Vec::new(),
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn part_columns_divide_into_chunks_and_build_only_what_is_read() {
+        for len in [
+            1,
+            COLUMN_CHUNK - 1,
+            COLUMN_CHUNK,
+            COLUMN_CHUNK + 1,
+            3 * COLUMN_CHUNK + 5,
+        ] {
+            let part = bare_events(len);
+            let cols = PartColumns::new(part.clone());
+            assert_eq!(cols.chunks(), len.div_ceil(COLUMN_CHUNK), "len {len}");
+            assert_eq!(cols.built(), 0);
+            // Reading the last row builds the last chunk and no other.
+            let (c0, chunk) = cols.chunk_for(len - 1);
+            assert_eq!(c0, (len - 1) / COLUMN_CHUNK * COLUMN_CHUNK);
+            assert_eq!(cols.built(), 1);
+            assert!(chunk.records.same_view(&part.slice(c0..len)));
+            let built = chunk.columns.as_ref().expect("events transcode");
+            assert_eq!(built.len(), len - c0);
+            // Every row maps to its chunk, and to the same chunk object on
+            // every call (the VM's column binding is keyed on it).
+            for row in (0..len).step_by(1021).chain([len - 1]) {
+                let (start, first) = cols.chunk_for(row);
+                assert_eq!(start, row / COLUMN_CHUNK * COLUMN_CHUNK);
+                let end = (start + COLUMN_CHUNK).min(len);
+                assert!(first.records.same_view(&part.slice(start..end)));
+                assert!(std::ptr::eq(first, cols.chunk_for(row).1));
+                assert_eq!(
+                    first.columns.as_deref(),
+                    ColumnBatch::from_records(&part[start..end]).as_ref()
+                );
+            }
+            assert_eq!(cols.built(), cols.chunks());
+        }
+        assert_eq!(PartColumns::new(bare_events(0)).chunks(), 0);
+    }
+
+    #[test]
+    fn a_chunk_that_cannot_transcode_does_not_spoil_its_neighbours() {
+        let mut recs: Vec<AnyRecord> = bare_events(3 * COLUMN_CHUNK).to_vec();
+        recs[COLUMN_CHUNK + 7] = AnyRecord::Dna(DnaRead {
+            read_id: 0,
+            sample: 0,
+            bases: "ACGT".into(),
+            quality: 30.0,
+        });
+        let cols = PartColumns::new(RecordBatch::new(recs));
+        assert!(cols.chunk_for(0).1.columns.is_some());
+        let (c0, mixed) = cols.chunk_for(COLUMN_CHUNK + 7);
+        assert_eq!(c0, COLUMN_CHUNK);
+        assert!(mixed.columns.is_none());
+        assert_eq!(mixed.records.len(), COLUMN_CHUNK);
+        assert!(cols.chunk_for(2 * COLUMN_CHUNK).1.columns.is_some());
+        assert_eq!(cols.built(), 3);
+    }
+
+    #[test]
+    fn racing_readers_of_one_chunk_share_one_build() {
+        let cols = PartColumns::new(bare_events(COLUMN_CHUNK + 100));
+        let barrier = std::sync::Barrier::new(2);
+        let read = || {
+            barrier.wait();
+            Arc::clone(cols.chunk_for(5).1.columns.as_ref().unwrap())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(read);
+            (read(), other.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(cols.built(), 1);
     }
 
     #[test]

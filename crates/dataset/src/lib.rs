@@ -14,8 +14,9 @@
 //!   equivalents (a Higgs-like resonance over continuum background),
 //! * the [`splitter`] that cuts a dataset into approximately equal parts for
 //!   the analysis engines, and the inverse check used in tests,
-//! * the [`columnar`] transcode that re-lays staged parts out as typed
-//!   columns with validity bitmaps so engine fills autovectorize.
+//! * the [`columnar`] transcode that re-lays staged parts out, a chunk at
+//!   a time as engines first read them, as typed columns with validity
+//!   bitmaps so engine fills autovectorize.
 //!
 //! Datasets carry a [`DatasetDescriptor`] (identifier, kind, record count,
 //! byte size) — the unit the catalog/locator services reason about.
@@ -37,7 +38,9 @@ pub mod trade;
 
 pub use batch::{RecordBatch, RecordHandle};
 pub use codec::{decode_dataset, encode_dataset, DATASET_MAGIC, FORMAT_VERSION};
-pub use columnar::{Column, ColumnBatch, ColumnData, DataLayout};
+pub use columnar::{
+    Column, ColumnBatch, ColumnChunk, ColumnData, DataLayout, PartColumns, COLUMN_CHUNK,
+};
 pub use dataset::{Dataset, DatasetDescriptor, DatasetId, DatasetKind};
 pub use dna::DnaRead;
 pub use error::DatasetError;

@@ -4,12 +4,14 @@
 //!   yields exactly `field_names().map(|n| field(n))`, f64s bit for bit and
 //!   `Missing` in the same places, for every record kind;
 //! * transcoding a `RecordBatch` view equals transcoding a copy of it, so
-//!   staging parts as views changes no column.
+//!   staging parts as views changes no column;
+//! * a part's lazily built chunks (`PartColumns`) hold, row for row, what
+//!   transcoding each chunk's record range directly gives.
 
 use ipa_dataset::{
     generate_dataset, AnyRecord, CollisionEvent, ColumnBatch, DnaGeneratorConfig,
-    EventGeneratorConfig, FieldValue, FourVector, GeneratorConfig, Particle, RecordBatch,
-    RecordFields, TradeGeneratorConfig,
+    EventGeneratorConfig, FieldValue, FourVector, GeneratorConfig, PartColumns, Particle,
+    RecordBatch, RecordFields, TradeGeneratorConfig, COLUMN_CHUNK,
 };
 use proptest::prelude::*;
 
@@ -185,6 +187,32 @@ proptest! {
             (Some(v), Some(c)) => assert_columns_bit_equal(&v, &c)?,
             (None, None) => prop_assert!(view.is_empty()),
             _ => prop_assert!(false, "view and copy disagree on whether they transcode"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn every_row_reads_the_transcode_of_its_own_chunk(
+        kind in 0u8..3,
+        // Up to two chunk edges, with lengths just around them.
+        n in prop_oneof![1u64..300, 8_000u64..8_400, 16_300u64..16_700],
+        seed in any::<u64>(),
+        probe in proptest::collection::vec(0.0f64..1.0, 1..20),
+    ) {
+        let part = generated(kind, n, seed);
+        let cols = PartColumns::new(part.clone());
+        prop_assert_eq!(cols.chunks(), part.len().div_ceil(COLUMN_CHUNK));
+        for p in probe {
+            let row = (p * n as f64) as usize;
+            let (c0, chunk) = cols.chunk_for(row);
+            let c1 = (c0 + COLUMN_CHUNK).min(part.len());
+            prop_assert!(c0 <= row && row < c1 && c0 % COLUMN_CHUNK == 0);
+            prop_assert!(chunk.records.same_view(&part.slice(c0..c1)));
+            let direct = ColumnBatch::from_records(&part[c0..c1]).expect("one kind transcodes");
+            assert_columns_bit_equal(chunk.columns.as_ref().expect("built"), &direct)?;
         }
     }
 }

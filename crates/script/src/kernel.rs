@@ -255,11 +255,9 @@ impl<'p> Lowerer<'p> {
                 }
                 _ => return None,
             },
-            ExprKind::Binary { op, lhs, rhs } => KExpr::Bin(
-                *op,
-                Box::new(self.expr(lhs)?),
-                Box::new(self.expr(rhs)?),
-            ),
+            ExprKind::Binary { op, lhs, rhs } => {
+                KExpr::Bin(*op, Box::new(self.expr(lhs)?), Box::new(self.expr(rhs)?))
+            }
             ExprKind::Unary { op, expr } => match op {
                 UnOp::Neg => KExpr::Neg(Box::new(self.expr(expr)?)),
                 UnOp::Not => KExpr::Not(Box::new(self.expr(expr)?)),
@@ -911,13 +909,7 @@ impl EvalCtx<'_> {
             }
             *err |= bad;
         }
-        FillApp {
-            fill,
-            sel,
-            x,
-            y,
-            w,
-        }
+        FillApp { fill, sel, x, y, w }
     }
 }
 
@@ -1352,14 +1344,13 @@ mod tests {
         let columns = Arc::new(ColumnBatch::from_records(&records).unwrap());
         let mut whole = AidaHost::new();
         let mut chunked = AidaHost::new();
-        for (host, ranges) in [
-            (&mut whole, vec![0..100]),
-            (&mut chunked, vec![0..33, 33..66, 66..100]),
-        ] {
+        let cuts: [(&mut AidaHost, &[usize]); 2] =
+            [(&mut whole, &[0, 100]), (&mut chunked, &[0, 33, 66, 100])];
+        for (host, edges) in cuts {
             let mut engine = engine_for(&program, ScriptBackend::Vm, ScriptFusion::Kernel).unwrap();
             let mut kernel = BatchKernel::compile(&program);
             engine.run_init(host).unwrap();
-            for range in ranges {
+            for range in edges.windows(2).map(|w| w[0]..w[1]) {
                 let expect = range.len();
                 let (done, err) = run_fused(
                     engine.as_mut(),

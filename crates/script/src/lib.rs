@@ -224,7 +224,11 @@ pub fn run_analysis(
     host: &mut dyn Host,
 ) -> Result<(), ScriptError> {
     let program = compile(source)?;
-    let mut engine = engine_for(&program, ScriptBackend::from_env(), ScriptFusion::from_env())?;
+    let mut engine = engine_for(
+        &program,
+        ScriptBackend::from_env(),
+        ScriptFusion::from_env(),
+    )?;
     engine.run_init(host)?;
     for r in records {
         engine.process(host, RecordRef::one(std::sync::Arc::new(r.clone())))?;

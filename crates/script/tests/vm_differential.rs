@@ -515,7 +515,10 @@ impl KgStmt {
     fn render(&self, out: &mut String) {
         match self {
             KgStmt::Fill(p, x, w) => {
-                out.push_str(&format!("fill(\"{}\", ", KPATHS[*p as usize % KPATHS.len()]));
+                out.push_str(&format!(
+                    "fill(\"{}\", ",
+                    KPATHS[*p as usize % KPATHS.len()]
+                ));
                 x.render(out);
                 if let Some(w) = w {
                     out.push_str(&format!(", {w}"));
@@ -523,7 +526,10 @@ impl KgStmt {
                 out.push_str(");\n");
             }
             KgStmt::FillWeighted(p, x, w) => {
-                out.push_str(&format!("fill(\"{}\", ", KPATHS[*p as usize % KPATHS.len()]));
+                out.push_str(&format!(
+                    "fill(\"{}\", ",
+                    KPATHS[*p as usize % KPATHS.len()]
+                ));
                 x.render(out);
                 out.push_str(", ");
                 w.render(out);
@@ -534,7 +540,10 @@ impl KgStmt {
                 cond.render(out);
                 out.push_str(" {\n");
                 for (p, x) in fills {
-                    out.push_str(&format!("fill(\"{}\", ", KPATHS[*p as usize % KPATHS.len()]));
+                    out.push_str(&format!(
+                        "fill(\"{}\", ",
+                        KPATHS[*p as usize % KPATHS.len()]
+                    ));
                     x.render(out);
                     out.push_str(");\n");
                 }
@@ -575,11 +584,12 @@ fn arb_kernel_expr() -> impl Strategy<Value = KgExpr> {
 fn arb_kernel_body() -> impl Strategy<Value = Vec<KgStmt>> {
     let fill_pair = (0u8..3, arb_kernel_expr());
     let stmt = prop_oneof![
-        (0u8..3, arb_kernel_expr(), prop_oneof![
-            (0i8..1).prop_map(|_| None),
-            (1i8..5).prop_map(Some),
-        ])
-        .prop_map(|(p, x, w)| KgStmt::Fill(p, x, w)),
+        (
+            0u8..3,
+            arb_kernel_expr(),
+            prop_oneof![(0i8..1).prop_map(|_| None), (1i8..5).prop_map(Some),]
+        )
+            .prop_map(|(p, x, w)| KgStmt::Fill(p, x, w)),
         (0u8..3, arb_kernel_expr(), arb_kernel_expr())
             .prop_map(|(p, x, w)| KgStmt::FillWeighted(p, x, w)),
         (arb_kernel_expr(), prop::collection::vec(fill_pair, 1..3))
