@@ -150,8 +150,9 @@ impl NativeRegistry {
 /// `fusion` the compile-pipeline fusion level; native code ignores both.
 ///
 /// At [`ScriptFusion::Kernel`] on the VM backend the analyze body is also
-/// lowered to a [`BatchKernel`] when it has the canonical guard-and-fill
-/// shape; the tree-walk stays kernel-free so it remains a pure
+/// lowered to a [`BatchKernel`] when it is fill-only (`let`s, guards and
+/// fills, with helper calls inlined and constant `for` loops unrolled);
+/// the tree-walk stays kernel-free so it remains a pure
 /// per-record oracle for differential tests.
 pub fn instantiate_code(
     code: &AnalysisCode,

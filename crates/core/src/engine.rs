@@ -1504,8 +1504,8 @@ mod tests {
 
     const KERNEL_SCRIPT: &str = "fn init() { h1(\"/s/vis\", 60, 0.0, 600.0); }\n\
          fn process(e) { fill(\"/s/vis\", e.visible_energy); }";
-    /// A user-function call keeps the kernel out: every record goes
-    /// through the VM and its column binding.
+    /// Handing the record itself to a helper keeps the kernel out: every
+    /// record goes through the VM and its column binding.
     const VM_SCRIPT: &str = "fn init() { h1(\"/s/vis\", 60, 0.0, 600.0); }\n\
          fn energy(e) { return e.visible_energy; }\n\
          fn process(e) { fill(\"/s/vis\", energy(e)); }";

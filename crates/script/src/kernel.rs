@@ -1,27 +1,48 @@
-//! The batch kernel: vectorized execution of canonical analyze bodies.
+//! The batch kernel: vectorized execution of fill-only analyze bodies.
 //!
 //! The per-record hot path — even through the bytecode VM with
 //! superinstructions — pays per-record dispatch, `RecordRef` construction,
 //! and boxed-`Value` traffic for every row. But the dominant analysis
-//! shape is tiny and regular: a straight-line `process(rec)` body of
-//! `let` bindings over record fields, an optional guard predicate, and
-//! `fill`/`fill2`/`pfill` calls:
+//! shape is small and regular: `let` bindings over record fields, guard
+//! predicates, and `fill`/`fill2`/`pfill` calls — written the way a
+//! physicist writes them, with a helper function for a cut and a loop
+//! over a cut array:
 //!
 //! ```text
+//! let cuts = [40.0, 80.0, 120.0];
+//! fn passes(x, cut) { return x > cut; }
 //! fn process(e) {
 //!     fill("/higgs/n_btags", e.n_btags);
 //!     let m = e.bb_mass;
 //!     if m != null { fill("/higgs/bb_mass", m); }
+//!     for i in 0..3 {
+//!         if passes(e.visible_energy, cuts[i]) { fill("/higgs/cut_flow", i); }
+//!     }
 //! }
 //! ```
 //!
-//! [`BatchKernel::compile`] recognizes that shape and lowers it to a small
-//! dataflow plan executed directly over [`ColumnBatch`] typed slices:
-//! every expression evaluates column-at-a-time into flat `f64` vectors
-//! with validity and error bitmaps, guards become selection masks, and
-//! each fill call becomes one bulk [`Host`] slice fill over the surviving
-//! rows. Anything the plan cannot express — string operations, loops,
-//! global mutation, user-function calls, records as first-class values —
+//! [`BatchKernel::compile`] lowers that to a flat dataflow plan executed
+//! directly over [`ColumnBatch`] typed slices: every expression evaluates
+//! column-at-a-time into `f64` lanes with validity and error flags,
+//! guards become selection masks, and the fills of each histogram become
+//! one bulk [`Host`] slice fill over the surviving rows. Lowering
+//! *expands* what a flat plan cannot hold:
+//!
+//! * **helper calls inline** — a call to a non-recursive user function
+//!   whose body is `let`s followed by one `return <expr>` becomes that
+//!   expression, its arguments evaluated once, left to right, before it.
+//!   An argument's errors count exactly where the call would have run:
+//!   on the right of `&&`/`||` only on rows the left side lets through;
+//! * **constant `for` loops unroll** — `for v in a..b` whose bounds fold
+//!   to numbers repeats its body (the statement forms the top level
+//!   takes) with `v` a constant, under `MAX_EXPANDED_NODES`;
+//! * **constant global elements read once** — `g[k]` on a global with
+//!   `k` constant after unrolling is a run-time constant like a global
+//!   scalar: an eligible body cannot assign, so neither can change.
+//!
+//! Constant-only subexpressions fold while lowering. Anything the plan
+//! cannot express — strings, `log`, dynamic fill paths, assignment,
+//! `while`/`break`/`continue`, recursion, records as first-class values —
 //! makes the whole program ineligible, and everything falls back to the
 //! per-record engine loop.
 //!
@@ -35,17 +56,30 @@
 //! VM at row `p`, which reproduces any error with its exact message and
 //! line, including the erroring record's partial fills. `None` means the
 //! batch was ineligible (missing column, string column, unresolvable
-//! global, unbooked fill path, fuel budget below the static bound) and no
-//! side effects happened. Error detection is conservative: a row is
-//! marked erroring if *any* statement the per-record loop would execute
-//! errors there, and the prefix stops at the first such row — marking too
-//! many rows only shrinks the prefix, never changes results.
+//! global, non-scalar or out-of-bounds global element, unbooked fill
+//! path, fuel budget below the static bound) and no side effects
+//! happened. Error detection is conservative: a row is marked erroring if
+//! *any* statement the per-record loop would execute errors there, and
+//! the prefix stops at the first such row — marking too many rows only
+//! shrinks the prefix, never changes results.
 //!
-//! Fuel: eligible bodies are loop-free and call-free, so per-record fuel
-//! use is bounded by a static count. `run` executes only when the
-//! engine's per-record budget is at least 16 + 8 × (AST node count) — a
-//! generous over-estimate of the per-record burn — which proves
-//! `OutOfFuel` unobservable and licenses skipping per-op accounting.
+//! Unrolling puts several fills on one histogram, and `f64` accumulation
+//! is order-sensitive, so fills are gathered *record-major*: all fills of
+//! one path form one slice ordered by row, then by statement, with a
+//! weight per entry where the statements' weights differ. Each histogram
+//! sees exactly the sequence of `(x, w)` the per-record loop would have
+//! fed it; histograms are independent objects, so the order *between*
+//! them is unobservable.
+//!
+//! Fuel: an expanded body is loop-free and call-free, so per-record fuel
+//! use is bounded by a static count over the *expanded* tree (every
+//! inlined body and every unrolled iteration counted each time). `run`
+//! executes only when the engine's per-record budget is at least
+//! 16 + 8 × (expanded node count) — a generous over-estimate of the
+//! per-record burn of either backend — which proves `OutOfFuel`
+//! unobservable and licenses skipping per-op accounting. Inlining is at
+//! most `MAX_INLINE_DEPTH` deep, well inside the call-depth limit, so
+//! `StackOverflow` is unobservable too.
 //!
 //! # Host contract for bulk fills
 //!
@@ -53,21 +87,32 @@
 //! empty slice; a probe error (unbooked path, kind mismatch) aborts to
 //! the fallback before any side effect. After successful probes the bulk
 //! fills are assumed infallible: [`Host`] fill errors must depend only on
-//! the path, never on the coordinates (true of [`AidaHost`] and every
+//! the path, never on the coordinates (true of [`crate::AidaHost`] and every
 //! host in this codebase). A host violating that contract panics here.
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use ipa_dataset::{ColumnBatch, RecordBatch};
+use ipa_dataset::{Column, ColumnBatch, RecordBatch};
 
-use crate::ast::{BinOp, Expr, ExprKind, Program, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, ExprKind, Function, Program, Stmt, UnOp};
 use crate::error::ScriptError;
 use crate::interp::Host;
-use crate::stdlib::Builtin;
+use crate::stdlib::{checked_index, Builtin};
 use crate::value::{RecordRef, Value};
 use crate::ScriptEngine;
+
+/// Cap on the expanded plan: AST nodes counted once per inlined call and
+/// per unrolled iteration. Bounds compile time, the static fuel bound
+/// (far below any sane budget) and the evaluator's live vectors; a body
+/// that expands past it runs per-record.
+const MAX_EXPANDED_NODES: u64 = 4096;
+
+/// Deepest helper-in-helper inlining. The per-record path allows 64
+/// frames; staying well inside it keeps `StackOverflow` unobservable.
+const MAX_INLINE_DEPTH: usize = 16;
 
 /// Static value kind of a vectorized expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,17 +128,20 @@ enum Kind {
 /// A vectorizable expression over one batch range.
 #[derive(Debug, Clone)]
 enum KExpr {
-    /// Numeric literal.
+    /// Numeric constant: a literal, a loop variable, or a folded
+    /// subexpression.
     Num(f64),
-    /// Boolean literal.
+    /// Boolean constant.
     Bool(bool),
     /// `null`.
     Null,
     /// `param.field`, by index into the plan's field list.
     Col(usize),
-    /// A global read, by index into the plan's global list.
+    /// A global read (`g` or `g[k]`), by index into the plan's global
+    /// list.
     Global(usize),
-    /// A prior `let` binding, by definition order.
+    /// A bound value — a `let`, or an argument of an inlined call — by
+    /// slot on the evaluator's binding stack.
     Let(usize),
     /// Binary operator (including short-circuit `&&`/`||`, which
     /// vectorize because eligible operands are side-effect-free).
@@ -108,12 +156,33 @@ enum KExpr {
     Math1(Builtin, Box<KExpr>),
     /// Two-argument math builtin (`pow`/`atan2`/`min`/`max`).
     Math2(Builtin, Box<KExpr>, Box<KExpr>),
+    /// An inlined helper call: `binds` (arguments, then the helper's
+    /// `let`s) evaluate in order onto the binding stack, then `body`;
+    /// the slots are released afterwards. Errors in any bind are errors
+    /// of the whole expression, so an enclosing `&&`/`||` masks them the
+    /// way it masks the call.
+    Inline { binds: Vec<KExpr>, body: Box<KExpr> },
 }
 
-/// Which fill family a [`KFill`] drives.
+impl KExpr {
+    fn is_const(&self) -> bool {
+        matches!(self, KExpr::Num(_) | KExpr::Bool(_) | KExpr::Null)
+    }
+}
+
+/// A global the body reads: the whole value, or one constant element.
+#[derive(Debug, Clone, PartialEq)]
+struct GlobalRef {
+    name: String,
+    /// `Some(k)` for `name[k]`.
+    index: Option<usize>,
+}
+
+/// Which fill family a [`FillGroup`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FillKind {
-    /// `fill(path, x, w?)` → [`Host::fill1_slice`].
+    /// `fill(path, x, w?)` → [`Host::fill1_slice`] /
+    /// [`Host::fill1_slice_weighted`].
     H1,
     /// `fill2(path, x, y, w?)` → [`Host::fill2_slice`].
     H2,
@@ -124,32 +193,41 @@ enum FillKind {
 /// The weight operand of a fill.
 #[derive(Debug, Clone)]
 enum Weight {
-    /// No weight argument: 1.0.
-    One,
-    /// A numeric literal weight (the only expression form the 2-D slice
-    /// fills can carry).
+    /// A weight known while lowering: absent (1.0), a literal, a loop
+    /// variable. The only form the 2-D slice fills can carry.
     Const(f64),
     /// An arbitrary eligible weight expression (1-D fills only, via
     /// [`Host::fill1_slice_weighted`]).
     Expr(KExpr),
 }
 
+/// Every fill of one family into one path: the unit of the record-major
+/// gather, one histogram's whole input.
+#[derive(Debug, Clone)]
+struct FillGroup {
+    kind: FillKind,
+    path: String,
+    /// The weight all members share, when they do; `None` gathers a
+    /// weight per entry.
+    uniform_w: Option<f64>,
+}
+
 /// One lowered fill call.
 #[derive(Debug, Clone)]
 struct KFill {
-    kind: FillKind,
-    path: String,
+    /// Index into the plan's groups.
+    group: usize,
     x: KExpr,
     /// Second coordinate for `H2`/`Prof`.
     y: Option<KExpr>,
     w: Weight,
 }
 
-/// One lowered statement of the `process` body.
+/// One lowered statement of the expanded `process` body.
 #[derive(Debug, Clone)]
 enum KStep {
     /// `let name = expr;` — evaluated unconditionally (errors count even
-    /// when the binding goes unused).
+    /// when the binding goes unused) onto the next binding-stack slot.
     Let(KExpr),
     /// An unconditional fill.
     Fill(KFill),
@@ -168,7 +246,9 @@ struct KernelProgram {
     /// Record fields read by the body, in [`KExpr::Col`] index order.
     fields: Vec<String>,
     /// Globals read by the body, in [`KExpr::Global`] index order.
-    globals: Vec<String>,
+    globals: Vec<GlobalRef>,
+    /// Fill targets, in [`KFill::group`] index order.
+    groups: Vec<FillGroup>,
     steps: Vec<KStep>,
 }
 
@@ -205,53 +285,107 @@ pub struct BatchKernel {
 }
 
 // ---------------------------------------------------------------------------
-// Compilation: AST shape recognition.
+// Compilation: AST shape recognition and expansion.
+
+/// The names one function body can see. IPAScript scopes by function,
+/// not by block, and an eligible body has no conditional binder, so the
+/// map, updated in execution order, is exactly the per-record lookup: a
+/// name not in it reads a global.
+struct Scope<'p> {
+    /// The record parameter (`process` only; helpers cannot take one).
+    record: Option<&'p str>,
+    /// Name → [`KExpr::Let`] slot, constant, or global it is bound to.
+    vars: HashMap<&'p str, KExpr>,
+}
 
 struct Lowerer<'p> {
     program: &'p Program,
-    param: &'p str,
     fields: Vec<String>,
-    globals: Vec<String>,
-    /// In-scope `let` bindings: name → definition index.
-    lets: HashMap<String, usize>,
-    n_lets: usize,
+    globals: Vec<GlobalRef>,
+    groups: Vec<FillGroup>,
+    scope: Scope<'p>,
+    /// Functions being expanded, outermost first.
+    calls: Vec<&'p str>,
+    /// Live binding-stack slots at this point of the evaluation.
+    slots: usize,
+    /// Expanded node count so far.
     nodes: u64,
 }
 
-impl<'p> Lowerer<'p> {
-    fn intern(list: &mut Vec<String>, name: &str) -> usize {
-        match list.iter().position(|n| n == name) {
-            Some(i) => i,
-            None => {
-                list.push(name.to_string());
-                list.len() - 1
-            }
+fn intern<T: PartialEq>(list: &mut Vec<T>, item: T) -> usize {
+    match list.iter().position(|it| *it == item) {
+        Some(i) => i,
+        None => {
+            list.push(item);
+            list.len() - 1
         }
+    }
+}
+
+impl<'p> Lowerer<'p> {
+    /// Count one expanded node, or bail past the cap.
+    fn bump(&mut self) -> Option<()> {
+        self.nodes += 1;
+        (self.nodes <= MAX_EXPANDED_NODES).then_some(())
+    }
+
+    fn global(&mut self, name: &str, index: Option<usize>) -> KExpr {
+        let name = name.to_string();
+        KExpr::Global(intern(&mut self.globals, GlobalRef { name, index }))
+    }
+
+    /// What a name gets bound to for value `v`: constants, globals and
+    /// existing bindings are pure and error-free, so they substitute;
+    /// anything else is evaluated once onto a new slot, pushed to `binds`.
+    fn bind(&mut self, v: KExpr, binds: &mut Vec<KExpr>) -> KExpr {
+        if v.is_const() || matches!(v, KExpr::Global(_) | KExpr::Let(_)) {
+            return v;
+        }
+        binds.push(v);
+        self.slots += 1;
+        KExpr::Let(self.slots - 1)
     }
 
     /// Lower an eligible value expression, or bail.
-    fn expr(&mut self, e: &Expr) -> Option<KExpr> {
-        self.nodes += 1;
-        Some(match &e.kind {
+    fn expr(&mut self, e: &'p Expr) -> Option<KExpr> {
+        self.bump()?;
+        let lowered = match &e.kind {
             ExprKind::Null => KExpr::Null,
             ExprKind::Bool(b) => KExpr::Bool(*b),
             ExprKind::Num(n) => KExpr::Num(*n),
-            // Strings, arrays, ranges, indexing, and the record itself as
-            // a value all stay on the per-record path.
+            // Strings, arrays, ranges, and the record itself as a value
+            // all stay on the per-record path.
             ExprKind::Str(_) | ExprKind::Array(_) | ExprKind::Range { .. } => return None,
-            ExprKind::Index { .. } => return None,
             ExprKind::Var(name) => {
-                if name.as_str() == self.param {
+                if self.scope.record == Some(name.as_str()) {
                     return None;
                 }
-                match self.lets.get(name) {
-                    Some(&i) => KExpr::Let(i),
-                    None => KExpr::Global(Self::intern(&mut self.globals, name)),
+                match self.scope.vars.get(name.as_str()) {
+                    Some(bound) => bound.clone(),
+                    None => self.global(name, None),
                 }
             }
+            // `g[k]`: a global's element at a constant index. A local has
+            // no array form here, and a varying index stays per-record.
+            ExprKind::Index { target, index } => {
+                let ExprKind::Var(name) = &target.kind else {
+                    return None;
+                };
+                let name = name.as_str();
+                if self.scope.record == Some(name) || self.scope.vars.contains_key(name) {
+                    return None;
+                }
+                self.bump()?;
+                let KExpr::Num(k) = self.expr(index)? else {
+                    return None;
+                };
+                // Negative/non-finite: per-record path reports it.
+                let k = checked_index(k, "index", e.line).ok()?;
+                self.global(name, Some(k))
+            }
             ExprKind::Field { target, field } => match &target.kind {
-                ExprKind::Var(v) if v.as_str() == self.param => {
-                    KExpr::Col(Self::intern(&mut self.fields, field))
+                ExprKind::Var(v) if self.scope.record == Some(v.as_str()) => {
+                    KExpr::Col(intern(&mut self.fields, field.clone()))
                 }
                 _ => return None,
             },
@@ -263,10 +397,9 @@ impl<'p> Lowerer<'p> {
                 UnOp::Not => KExpr::Not(Box::new(self.expr(expr)?)),
             },
             ExprKind::Call { name, args } => {
-                // User functions shadow builtins, and their bodies can do
-                // anything — punt.
-                if self.program.functions.contains_key(name) {
-                    return None;
+                // User functions shadow builtins.
+                if let Some((name, f)) = self.program.functions.get_key_value(name) {
+                    return self.inline(name, f, args);
                 }
                 match Builtin::lookup(name)? {
                     b @ (Builtin::Sqrt
@@ -310,12 +443,61 @@ impl<'p> Lowerer<'p> {
                     _ => return None,
                 }
             }
+        };
+        Some(fold(lowered))
+    }
+
+    /// Inline a call to user function `f`: arguments first (in the
+    /// caller's scope, left to right), then the helper's `let`s and its
+    /// returned expression in a scope of their own.
+    fn inline(&mut self, name: &'p str, f: &'p Function, args: &'p [Expr]) -> Option<KExpr> {
+        // Arity errors and unbounded recursion: per-record path reports.
+        if args.len() != f.params.len()
+            || self.calls.len() >= MAX_INLINE_DEPTH
+            || self.calls.contains(&name)
+        {
+            return None;
+        }
+        let (Stmt::Return(Some(ret)), lets) = f.body.split_last()? else {
+            return None;
+        };
+        let base = self.slots;
+        let mut binds = Vec::new();
+        let mut vars = HashMap::new();
+        for (param, arg) in f.params.iter().zip(args) {
+            let v = self.expr(arg)?;
+            // Duplicate parameter names: the last argument wins.
+            vars.insert(param.as_str(), self.bind(v, &mut binds));
+        }
+        let caller = std::mem::replace(&mut self.scope, Scope { record: None, vars });
+        self.calls.push(name);
+        for stmt in lets {
+            let Stmt::Let { name, value } = stmt else {
+                return None;
+            };
+            self.bump()?;
+            let v = self.expr(value)?;
+            let bound = self.bind(v, &mut binds);
+            self.scope.vars.insert(name.as_str(), bound);
+        }
+        self.bump()?; // the `return`
+        let body = self.expr(ret)?;
+        self.calls.pop();
+        self.scope = caller;
+        self.slots = base;
+        Some(if binds.is_empty() {
+            body
+        } else {
+            KExpr::Inline {
+                binds,
+                body: Box::new(body),
+            }
         })
     }
 
     /// Lower a fill-family call statement, or bail.
-    fn fill(&mut self, e: &Expr) -> Option<KFill> {
-        self.nodes += 1;
+    fn fill(&mut self, e: &'p Expr) -> Option<KFill> {
+        self.bump()?;
         let ExprKind::Call { name, args } = &e.kind else {
             return None;
         };
@@ -342,25 +524,46 @@ impl<'p> Lowerer<'p> {
             None
         };
         let w = match args.get(1 + n_coords) {
-            None => Weight::One,
-            Some(warg) => match (&warg.kind, kind) {
-                (ExprKind::Num(w), _) => Weight::Const(*w),
+            None => Weight::Const(1.0),
+            Some(warg) => match (self.expr(warg)?, kind) {
+                (KExpr::Num(w), _) => Weight::Const(w),
                 // Only the 1-D fill has a per-row weighted slice call.
-                (_, FillKind::H1) => Weight::Expr(self.expr(warg)?),
+                (w, FillKind::H1) => Weight::Expr(w),
                 _ => return None,
             },
         };
-        Some(KFill {
-            kind,
-            path: path.clone(),
-            x,
-            y,
-            w,
-        })
+        // A group fills with one weight while every member carries that
+        // same constant; otherwise each gathered entry carries its own.
+        let constant = match &w {
+            Weight::Const(w) => Some(w.to_bits()),
+            Weight::Expr(_) => None,
+        };
+        let group = match self
+            .groups
+            .iter()
+            .position(|g| g.kind == kind && g.path == *path)
+        {
+            Some(g) => {
+                let shared = &mut self.groups[g].uniform_w;
+                if shared.map(f64::to_bits) != constant {
+                    *shared = None;
+                }
+                g
+            }
+            None => {
+                self.groups.push(FillGroup {
+                    kind,
+                    path: path.clone(),
+                    uniform_w: constant.map(f64::from_bits),
+                });
+                self.groups.len() - 1
+            }
+        };
+        Some(KFill { group, x, y, w })
     }
 
     /// Lower a branch body: fill-family calls only.
-    fn branch(&mut self, stmts: &[Stmt]) -> Option<Vec<KFill>> {
+    fn branch(&mut self, stmts: &'p [Stmt]) -> Option<Vec<KFill>> {
         stmts
             .iter()
             .map(|s| match s {
@@ -368,6 +571,93 @@ impl<'p> Lowerer<'p> {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Lower one statement of `process` (or of an unrolled loop body)
+    /// onto `steps`, or bail.
+    fn stmt(&mut self, stmt: &'p Stmt, steps: &mut Vec<KStep>) -> Option<()> {
+        self.bump()?;
+        match stmt {
+            Stmt::Let { name, value } => {
+                if self.scope.record == Some(name.as_str()) {
+                    return None; // shadowing the record breaks Col resolution
+                }
+                let v = self.expr(value)?;
+                let mut binds = Vec::new();
+                let bound = self.bind(v, &mut binds);
+                steps.extend(binds.into_iter().map(KStep::Let));
+                self.scope.vars.insert(name.as_str(), bound);
+            }
+            Stmt::Expr(e) => steps.push(KStep::Fill(self.fill(e)?)),
+            Stmt::If {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let cond = self.expr(cond)?;
+                let then = self.branch(then)?;
+                let els = self.branch(otherwise)?;
+                steps.push(KStep::If { cond, then, els });
+            }
+            // `for v in a..b` with constant bounds: the body once per
+            // value, `v` bound to it. The values are the per-record
+            // loop's: `a`, then repeated `+ 1`, while below `b`.
+            Stmt::For { var, iter, body } => {
+                if self.scope.record == Some(var.as_str()) {
+                    return None;
+                }
+                let ExprKind::Range { start, end } = &iter.kind else {
+                    return None; // array iteration stays per-record
+                };
+                let (KExpr::Num(start), KExpr::Num(end)) = (self.expr(start)?, self.expr(end)?)
+                else {
+                    return None;
+                };
+                let mut x = start;
+                while x < end {
+                    // Also what ends a range too long (or, stuck at 2^53
+                    // or -inf, too endless) to unroll.
+                    self.bump()?;
+                    self.scope.vars.insert(var.as_str(), KExpr::Num(x));
+                    for s in body {
+                        self.stmt(s, steps)?;
+                    }
+                    x += 1.0;
+                }
+            }
+            // while, assignment, return, break, continue
+            _ => return None,
+        }
+        Some(())
+    }
+}
+
+/// Fold an operator whose operands are all constants, through the very
+/// row functions `run` evaluates with. A constant error (`-null`) is left
+/// in place: the run marks every row it executes on and the VM reports it.
+fn fold(e: KExpr) -> KExpr {
+    let foldable = match &e {
+        KExpr::Bin(_, a, b) | KExpr::Math2(_, a, b) => a.is_const() && b.is_const(),
+        KExpr::Neg(a) | KExpr::Not(a) | KExpr::IsNull(a) | KExpr::Math1(_, a) => a.is_const(),
+        _ => false,
+    };
+    if !foldable {
+        return e;
+    }
+    let ctx = EvalCtx {
+        cols: &[],
+        gvals: &[],
+        range: 0..1,
+    };
+    let ev = ctx.eval(&e, &mut Vec::new());
+    if ev.err.at(0) {
+        e
+    } else if !ev.valid.at(0) {
+        KExpr::Null
+    } else if ev.kind == Kind::Bool {
+        KExpr::Bool(ev.vals.at(0) != 0.0)
+    } else {
+        KExpr::Num(ev.vals.at(0))
     }
 }
 
@@ -382,56 +672,27 @@ impl BatchKernel {
         };
         let mut lo = Lowerer {
             program,
-            param: param.as_str(),
             fields: Vec::new(),
             globals: Vec::new(),
-            lets: HashMap::new(),
-            n_lets: 0,
+            groups: Vec::new(),
+            scope: Scope {
+                record: Some(param.as_str()),
+                vars: HashMap::new(),
+            },
+            calls: vec!["process"],
+            slots: 0,
             nodes: 0,
         };
         let mut steps = Vec::new();
         for stmt in &process.body {
-            lo.nodes += 1;
-            match stmt {
-                Stmt::Let { name, value } => {
-                    if name == param {
-                        return None; // shadowing the record breaks Col resolution
-                    }
-                    let e = lo.expr(value)?;
-                    lo.lets.insert(name.clone(), lo.n_lets);
-                    lo.n_lets += 1;
-                    steps.push(KStep::Let(e));
-                }
-                Stmt::Expr(e) => steps.push(KStep::Fill(lo.fill(e)?)),
-                Stmt::If {
-                    cond,
-                    then,
-                    otherwise,
-                } => {
-                    let cond = lo.expr(cond)?;
-                    let then = lo.branch(then)?;
-                    let els = lo.branch(otherwise)?;
-                    steps.push(KStep::If { cond, then, els });
-                }
-                _ => return None, // loops, assignment, return, break, continue
-            }
-        }
-        // Two fills into one path would interleave differently per-record
-        // vs. in bulk (f64 accumulation is order-sensitive): require
-        // distinct paths so each histogram sees record order either way.
-        let mut paths: Vec<&str> = Vec::new();
-        for_each_fill(&steps, &mut |f| paths.push(&f.path));
-        let n_paths = paths.len();
-        paths.sort_unstable();
-        paths.dedup();
-        if paths.len() != n_paths {
-            return None;
+            lo.stmt(stmt, &mut steps)?;
         }
         Some(BatchKernel {
             cost: 16 + 8 * lo.nodes,
             plan: KernelProgram {
                 fields: lo.fields,
                 globals: lo.globals,
+                groups: lo.groups,
                 steps,
             },
             bind: None,
@@ -469,13 +730,35 @@ impl BatchKernel {
         }
         self.ensure_bind(columns);
         let bind = self.bind.as_ref().expect("bind ensured above");
-        let cols = bind.cols.as_ref()?;
+        let cols: Vec<ColView<'_>> = bind
+            .cols
+            .as_ref()?
+            .iter()
+            .map(|bc| {
+                let col = bind.batch.column(bc.col);
+                let vals = match &bc.conv {
+                    Some(v) => v.as_slice(),
+                    None => col.f64s().expect("bound as native f64"),
+                };
+                ColView {
+                    kind: bc.kind,
+                    col,
+                    vals,
+                }
+            })
+            .collect();
 
         // Globals resolve fresh per run (eligible bodies never mutate
-        // them). Anything non-scalar falls back.
+        // them). Anything non-scalar — an element out of bounds, an array
+        // read whole — falls back, and the VM reports what it makes of it.
         let mut gvals: Vec<(Kind, f64)> = Vec::with_capacity(self.plan.globals.len());
-        for name in &self.plan.globals {
-            gvals.push(match globals(name)? {
+        for g in &self.plan.globals {
+            let value = match (globals(&g.name)?, g.index) {
+                (v, None) => v,
+                (Value::Array(items), Some(k)) => items.get(k)?.clone(),
+                _ => return None,
+            };
+            gvals.push(match value {
                 Value::Num(x) => (Kind::Num, x),
                 Value::Bool(b) => (Kind::Bool, b as u8 as f64),
                 Value::Null => (Kind::Null, 0.0),
@@ -483,65 +766,48 @@ impl BatchKernel {
             });
         }
 
-        // Probe every fill path with an empty slice before any side
+        // Probe every fill target with an empty slice before any side
         // effect: unbooked paths and kind mismatches fall back here.
-        let mut probes_ok = true;
-        for_each_fill(&self.plan.steps, &mut |f| {
-            let r = match (f.kind, &f.w) {
-                (FillKind::H1, Weight::Expr(_)) => host.fill1_slice_weighted(&f.path, &[], &[]),
-                (FillKind::H1, _) => host.fill1_slice(&f.path, &[], 1.0),
-                (FillKind::H2, _) => host.fill2_slice(&f.path, &[], &[], 1.0),
-                (FillKind::Prof, _) => host.fill_profile_slice(&f.path, &[], &[], 1.0),
-            };
-            probes_ok &= r.is_ok();
-        });
-        if !probes_ok {
-            return None;
+        for group in &self.plan.groups {
+            group.emit(host, &[], &[], &[]).ok()?;
         }
 
         let ctx = EvalCtx {
-            batch: &bind.batch,
-            cols,
+            cols: &cols,
             gvals: &gvals,
             range: range.clone(),
-            n,
         };
 
-        // Evaluate every step, accumulating per-row error flags and the
-        // fill argument vectors (gathered after the prefix is known).
-        let mut lets: Vec<Ev> = Vec::new();
+        // Evaluate every step, accumulating per-row error flags, the
+        // branch masks, and the fill argument vectors (gathered after the
+        // prefix is known).
+        let mut lets: Vec<Rc<Ev>> = Vec::new();
         let mut err_any = vec![false; n];
-        let mut apps: Vec<FillApp<'_>> = Vec::new();
+        let mut masks: Vec<Lane<bool>> = Vec::new();
+        let mut apps: Vec<FillApp> = Vec::new();
         for step in &self.plan.steps {
             match step {
                 KStep::Let(e) => {
-                    let ev = ctx.eval(e, &lets);
+                    let ev = ctx.eval(e, &mut lets);
                     or_assign(&mut err_any, &ev.err);
                     lets.push(ev);
                 }
                 KStep::Fill(f) => {
-                    let app = ctx.fill_app(f, None, &lets, &mut err_any);
-                    apps.push(app);
+                    apps.push(ctx.fill_app(f, None, &masks, &mut lets, &mut err_any));
                 }
                 KStep::If { cond, then, els } => {
-                    let cev = ctx.eval(cond, &lets);
+                    let cev = ctx.eval(cond, &mut lets);
                     or_assign(&mut err_any, &cev.err);
-                    let mut then_sel = vec![false; n];
-                    let mut els_sel = vec![false; n];
-                    for r in 0..n {
-                        if !cev.err[r] {
-                            let t = cev.truthy(r);
-                            then_sel[r] = t;
-                            els_sel[r] = !t;
+                    let truthy = cev.truthy();
+                    for (fills, taken) in [(then, true), (els, false)] {
+                        if fills.is_empty() {
+                            continue;
                         }
-                    }
-                    for f in then {
-                        let app = ctx.fill_app(f, Some(then_sel.clone()), &lets, &mut err_any);
-                        apps.push(app);
-                    }
-                    for f in els {
-                        let app = ctx.fill_app(f, Some(els_sel.clone()), &lets, &mut err_any);
-                        apps.push(app);
+                        masks.push(cev.err.zip(&truthy, |err, t| !err && t == taken));
+                        let sel = Some(masks.len() - 1);
+                        for f in fills {
+                            apps.push(ctx.fill_app(f, sel, &masks, &mut lets, &mut err_any));
+                        }
                     }
                 }
             }
@@ -549,40 +815,36 @@ impl BatchKernel {
 
         let prefix = err_any.iter().position(|&e| e).unwrap_or(n);
 
-        // Apply the fills for the error-free prefix, in statement order.
-        // Paths are distinct (compile invariant), so each histogram sees
-        // its values in record order — bit-identical to the scalar loop.
+        // Apply the fills of the error-free prefix, one histogram at a
+        // time, each in record-major order: row by row, and within a row
+        // in statement order — the sequence the scalar loop feeds it.
         let mut xs: Vec<f64> = Vec::new();
         let mut ys: Vec<f64> = Vec::new();
         let mut ws: Vec<f64> = Vec::new();
-        for app in &apps {
+        for (g, group) in self.plan.groups.iter().enumerate() {
+            let members: Vec<&FillApp> = apps.iter().filter(|a| a.group == g).collect();
             xs.clear();
             ys.clear();
             ws.clear();
-            let selected = (0..prefix).filter(|&r| app.sel.as_ref().is_none_or(|s| s[r]));
-            for r in selected {
-                xs.push(app.x.vals[r]);
-                if let Some(y) = &app.y {
-                    ys.push(y.vals[r]);
-                }
-                if let WeightApp::Expr(w) = &app.w {
-                    ws.push(w.vals[r]);
+            for r in 0..prefix {
+                for app in &members {
+                    if app.sel.is_some_and(|m| !masks[m].at(r)) {
+                        continue;
+                    }
+                    xs.push(app.x.vals.at(r));
+                    if let Some(y) = &app.y {
+                        ys.push(y.vals.at(r));
+                    }
+                    if group.uniform_w.is_none() {
+                        ws.push(match &app.w {
+                            WeightApp::Const(w) => *w,
+                            WeightApp::Expr(w) => w.vals.at(r),
+                        });
+                    }
                 }
             }
-            let scalar_w = match &app.w {
-                WeightApp::Scalar(w) => *w,
-                WeightApp::Expr(_) => 1.0,
-            };
             // Probed above; see the module docs for the host contract.
-            let res = match (app.fill.kind, &app.w) {
-                (FillKind::H1, WeightApp::Expr(_)) => {
-                    host.fill1_slice_weighted(&app.fill.path, &xs, &ws)
-                }
-                (FillKind::H1, _) => host.fill1_slice(&app.fill.path, &xs, scalar_w),
-                (FillKind::H2, _) => host.fill2_slice(&app.fill.path, &xs, &ys, scalar_w),
-                (FillKind::Prof, _) => host.fill_profile_slice(&app.fill.path, &xs, &ys, scalar_w),
-            };
-            res.expect("bulk fill failed after its empty-slice probe succeeded; host fill errors must depend only on the path");
+            group.emit(host, &xs, &ys, &ws).expect("bulk fill failed after its empty-slice probe succeeded; host fill errors must depend only on the path");
         }
         Some(prefix)
     }
@@ -633,283 +895,382 @@ impl BatchKernel {
     }
 }
 
-/// Visit every fill of `steps` in statement order.
-fn for_each_fill<'a>(steps: &'a [KStep], f: &mut dyn FnMut(&'a KFill)) {
-    for step in steps {
-        match step {
-            KStep::Let(_) => {}
-            KStep::Fill(fill) => f(fill),
-            KStep::If { then, els, .. } => {
-                for fill in then {
-                    f(fill);
+impl FillGroup {
+    /// Feed the gathered entries to the host in order: one slice call
+    /// when the weight is shared (or the family takes a weight slice),
+    /// else one call per run of equal weights — however it is cut, the
+    /// histogram sees the same sequence of scalar fills. With empty
+    /// slices this is the probe.
+    fn emit(&self, host: &mut dyn Host, xs: &[f64], ys: &[f64], ws: &[f64]) -> Result<(), String> {
+        let path = self.path.as_str();
+        let xy = |host: &mut dyn Host, xs: &[f64], ys: &[f64], w: f64| match self.kind {
+            FillKind::H2 => host.fill2_slice(path, xs, ys, w),
+            _ => host.fill_profile_slice(path, xs, ys, w),
+        };
+        match (self.kind, self.uniform_w) {
+            (FillKind::H1, Some(w)) => host.fill1_slice(path, xs, w),
+            (FillKind::H1, None) => host.fill1_slice_weighted(path, xs, ws),
+            (_, Some(w)) => xy(host, xs, ys, w),
+            // No entry, no run below: still one call, so that this probes.
+            (_, None) if ws.is_empty() => xy(host, xs, ys, 1.0),
+            (_, None) => {
+                let mut at = 0;
+                for run in ws.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+                    let to = at + run.len();
+                    xy(host, &xs[at..to], &ys[at..to], run[0])?;
+                    at = to;
                 }
-                for fill in els {
-                    f(fill);
-                }
+                Ok(())
             }
         }
     }
 }
 
-fn or_assign(acc: &mut [bool], src: &[bool]) {
-    for (a, &s) in acc.iter_mut().zip(src) {
-        *a |= s;
+fn or_assign(acc: &mut [bool], src: &Lane<bool>) {
+    match src {
+        Lane::Uniform(false) => {}
+        Lane::Uniform(true) => acc.fill(true),
+        Lane::Rows(src) => {
+            for (a, &s) in acc.iter_mut().zip(src) {
+                *a |= s;
+            }
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // Vector evaluation.
 
-/// A vectorized expression result over the active range: `vals[r]` is the
-/// numeric view (booleans as 0/1), `valid[r]` false means the row is
-/// `null`, `err[r]` true means the per-record loop would have errored at
-/// or before this expression on row `r`.
-#[derive(Clone)]
+/// One component of a vectorized result over the active range: a value
+/// per row, or one value standing for every row. Constants, globals and
+/// whatever is computed from them alone stay `Uniform`, so scalar
+/// subexpressions cost no `n`-wide vector.
+#[derive(Debug, Clone)]
+enum Lane<T> {
+    Uniform(T),
+    Rows(Vec<T>),
+}
+
+impl<T: Copy> Lane<T> {
+    #[inline]
+    fn at(&self, r: usize) -> T {
+        match self {
+            Lane::Uniform(v) => *v,
+            Lane::Rows(v) => v[r],
+        }
+    }
+
+    fn map<U>(&self, f: impl Fn(T) -> U) -> Lane<U> {
+        match self {
+            Lane::Uniform(v) => Lane::Uniform(f(*v)),
+            Lane::Rows(v) => Lane::Rows(v.iter().map(|&v| f(v)).collect()),
+        }
+    }
+
+    /// `f` row by row over two lanes; uniform only when both are.
+    fn zip<U: Copy, V>(&self, other: &Lane<U>, f: impl Fn(T, U) -> V) -> Lane<V> {
+        match (self, other) {
+            (Lane::Uniform(a), Lane::Uniform(b)) => Lane::Uniform(f(*a, *b)),
+            (Lane::Uniform(a), Lane::Rows(b)) => Lane::Rows(b.iter().map(|&b| f(*a, b)).collect()),
+            (Lane::Rows(a), Lane::Uniform(b)) => Lane::Rows(a.iter().map(|&a| f(a, *b)).collect()),
+            (Lane::Rows(a), Lane::Rows(b)) => {
+                Lane::Rows(a.iter().zip(b).map(|(&a, &b)| f(a, b)).collect())
+            }
+        }
+    }
+}
+
+// The flags are almost always uniformly clear (no row errored, no cell is
+// null), so the connectives look for that before looking at rows.
+impl Lane<bool> {
+    fn or(&self, other: &Lane<bool>) -> Lane<bool> {
+        match (self, other) {
+            (Lane::Uniform(false), lane) | (lane, Lane::Uniform(false)) => lane.clone(),
+            _ => self.zip(other, |a, b| a || b),
+        }
+    }
+
+    fn and(&self, other: &Lane<bool>) -> Lane<bool> {
+        match (self, other) {
+            (Lane::Uniform(false), _) | (_, Lane::Uniform(false)) => Lane::Uniform(false),
+            _ => self.zip(other, |a, b| a && b),
+        }
+    }
+}
+
+/// A vectorized expression result over the active range: `vals` is the
+/// numeric view (booleans as 0/1), `valid` false means the row is `null`,
+/// `err` true means the per-record loop would have errored at or before
+/// this expression on that row.
+#[derive(Debug)]
 struct Ev {
     kind: Kind,
-    vals: Vec<f64>,
-    valid: Vec<bool>,
-    err: Vec<bool>,
+    vals: Lane<f64>,
+    valid: Lane<bool>,
+    err: Lane<bool>,
 }
 
 impl Ev {
-    fn broadcast(n: usize, kind: Kind, val: f64) -> Ev {
+    fn uniform(kind: Kind, val: f64) -> Ev {
         Ev {
             kind,
-            vals: vec![val; n],
-            valid: vec![kind != Kind::Null; n],
-            err: vec![false; n],
+            vals: Lane::Uniform(val),
+            valid: Lane::Uniform(kind != Kind::Null),
+            err: Lane::Uniform(false),
+        }
+    }
+
+    /// A never-null boolean result.
+    fn bools(vals: Lane<bool>, err: Lane<bool>) -> Ev {
+        Ev {
+            kind: Kind::Bool,
+            vals: vals.map(|b| b as u8 as f64),
+            valid: Lane::Uniform(true),
+            err,
+        }
+    }
+
+    /// A numeric operator's result: `vals`, erroring where any operand
+    /// errored or is null ("arithmetic needs numbers").
+    fn numeric(vals: Lane<f64>, operands: &[&Ev]) -> Ev {
+        Ev {
+            kind: Kind::Num,
+            vals,
+            valid: Lane::Uniform(true),
+            err: any_bad(operands),
         }
     }
 
     /// Row truthiness, mirroring [`Value::truthy`] for Num/Bool/Null
     /// (`NaN` is truthy: `NaN != 0.0`).
-    fn truthy(&self, r: usize) -> bool {
-        self.valid[r] && self.vals[r] != 0.0
+    fn truthy(&self) -> Lane<bool> {
+        self.valid.zip(&self.vals, |valid, x| valid && x != 0.0)
+    }
+
+    /// True where the row errored or is null — where an operator that
+    /// needs a number errors.
+    fn bad(&self) -> Lane<bool> {
+        self.err.zip(&self.valid, |err, valid| err || !valid)
+    }
+
+    /// The cells as the language sees them: `None` for null.
+    fn cells(&self) -> Lane<Option<f64>> {
+        self.valid.zip(&self.vals, |valid, x| valid.then_some(x))
     }
 }
 
+fn any_bad(evs: &[&Ev]) -> Lane<bool> {
+    evs.iter()
+        .fold(Lane::Uniform(false), |bad, ev| bad.or(&ev.bad()))
+}
+
 /// Evaluated fill arguments awaiting the prefix gather.
-struct FillApp<'a> {
-    fill: &'a KFill,
-    /// Branch selection mask; `None` for unconditional fills.
-    sel: Option<Vec<bool>>,
-    x: Ev,
-    y: Option<Ev>,
+struct FillApp {
+    /// Index into the plan's groups.
+    group: usize,
+    /// Branch selection mask, by index into the run's masks; `None` for
+    /// unconditional fills.
+    sel: Option<usize>,
+    x: Rc<Ev>,
+    y: Option<Rc<Ev>>,
     w: WeightApp,
 }
 
 enum WeightApp {
-    Scalar(f64),
-    Expr(Ev),
+    Const(f64),
+    Expr(Rc<Ev>),
+}
+
+/// One bound record field over the whole batch.
+struct ColView<'a> {
+    kind: Kind,
+    /// The column (validity lookups).
+    col: &'a Column,
+    /// Its cells as `f64`.
+    vals: &'a [f64],
 }
 
 struct EvalCtx<'a> {
-    batch: &'a ColumnBatch,
-    cols: &'a [BoundCol],
+    cols: &'a [ColView<'a>],
     gvals: &'a [(Kind, f64)],
     range: Range<usize>,
-    n: usize,
 }
 
 impl EvalCtx<'_> {
-    fn eval(&self, e: &KExpr, lets: &[Ev]) -> Ev {
-        let n = self.n;
-        match e {
-            KExpr::Num(k) => Ev::broadcast(n, Kind::Num, *k),
-            KExpr::Bool(b) => Ev::broadcast(n, Kind::Bool, *b as u8 as f64),
-            KExpr::Null => Ev::broadcast(n, Kind::Null, 0.0),
+    /// Evaluate `e` over the range. `lets` is the binding stack
+    /// [`KExpr::Let`] indexes: the top-level `let`s so far, then the
+    /// binds of every enclosing [`KExpr::Inline`].
+    fn eval(&self, e: &KExpr, lets: &mut Vec<Rc<Ev>>) -> Rc<Ev> {
+        Rc::new(match e {
+            KExpr::Num(k) => Ev::uniform(Kind::Num, *k),
+            KExpr::Bool(b) => Ev::uniform(Kind::Bool, *b as u8 as f64),
+            KExpr::Null => Ev::uniform(Kind::Null, 0.0),
             KExpr::Col(i) => {
-                let bc = &self.cols[*i];
-                let col = self.batch.column(bc.col);
-                let vals: Vec<f64> = match &bc.conv {
-                    Some(v) => v[self.range.clone()].to_vec(),
-                    None => col.f64s().expect("bound as native f64")[self.range.clone()].to_vec(),
-                };
-                let valid: Vec<bool> = if col.all_valid() {
-                    vec![true; n]
-                } else {
-                    (self.range.clone()).map(|row| col.is_valid(row)).collect()
-                };
+                let view = &self.cols[*i];
                 Ev {
-                    kind: bc.kind,
-                    vals,
-                    valid,
-                    err: vec![false; n],
+                    kind: view.kind,
+                    vals: Lane::Rows(view.vals[self.range.clone()].to_vec()),
+                    valid: if view.col.all_valid() {
+                        Lane::Uniform(true)
+                    } else {
+                        Lane::Rows(
+                            self.range
+                                .clone()
+                                .map(|row| view.col.is_valid(row))
+                                .collect(),
+                        )
+                    },
+                    err: Lane::Uniform(false),
                 }
             }
             KExpr::Global(i) => {
                 let (kind, val) = self.gvals[*i];
-                Ev::broadcast(n, kind, val)
+                Ev::uniform(kind, val)
             }
-            KExpr::Let(i) => lets[*i].clone(),
+            KExpr::Let(i) => return lets[*i].clone(),
+            KExpr::Inline { binds, body } => {
+                let base = lets.len();
+                let mut bind_err = Lane::Uniform(false);
+                for bind in binds {
+                    let ev = self.eval(bind, lets);
+                    bind_err = bind_err.or(&ev.err);
+                    lets.push(ev);
+                }
+                let body = self.eval(body, lets);
+                lets.truncate(base);
+                if matches!(bind_err, Lane::Uniform(false)) {
+                    return body;
+                }
+                Ev {
+                    kind: body.kind,
+                    vals: body.vals.clone(),
+                    valid: body.valid.clone(),
+                    err: bind_err.or(&body.err),
+                }
+            }
             KExpr::Bin(op, a, b) => {
                 let a = self.eval(a, lets);
                 let b = self.eval(b, lets);
-                self.bin(*op, a, b)
+                bin(*op, &a, &b)
             }
             KExpr::Neg(a) => {
                 let a = self.eval(a, lets);
-                let mut out = Ev::broadcast(n, Kind::Num, 0.0);
-                for r in 0..n {
-                    out.err[r] = a.err[r] || !a.valid[r];
-                    out.vals[r] = -a.vals[r];
-                }
-                out
+                Ev::numeric(a.vals.map(|x| -x), &[&a])
             }
             KExpr::Not(a) => {
                 let a = self.eval(a, lets);
-                let mut out = Ev::broadcast(n, Kind::Bool, 0.0);
-                for r in 0..n {
-                    out.err[r] = a.err[r];
-                    out.vals[r] = (!a.truthy(r)) as u8 as f64;
-                }
-                out
+                Ev::bools(a.truthy().map(|t| !t), a.err.clone())
             }
             KExpr::IsNull(a) => {
                 let a = self.eval(a, lets);
-                let mut out = Ev::broadcast(n, Kind::Bool, 0.0);
-                for r in 0..n {
-                    out.err[r] = a.err[r];
-                    out.vals[r] = (!a.valid[r]) as u8 as f64;
-                }
-                out
+                Ev::bools(a.valid.map(|valid| !valid), a.err.clone())
             }
             KExpr::Math1(b, a) => {
                 let a = self.eval(a, lets);
-                let mut out = Ev::broadcast(n, Kind::Num, 0.0);
-                let f = math1(*b);
-                for r in 0..n {
-                    out.err[r] = a.err[r] || !a.valid[r];
-                    out.vals[r] = f(a.vals[r]);
-                }
-                out
+                Ev::numeric(a.vals.map(math1(*b)), &[&a])
             }
             KExpr::Math2(b, x, y) => {
                 let x = self.eval(x, lets);
                 let y = self.eval(y, lets);
-                let mut out = Ev::broadcast(n, Kind::Num, 0.0);
-                let f = math2(*b);
-                for r in 0..n {
-                    out.err[r] = x.err[r] || y.err[r] || !x.valid[r] || !y.valid[r];
-                    out.vals[r] = f(x.vals[r], y.vals[r]);
-                }
-                out
+                Ev::numeric(x.vals.zip(&y.vals, math2(*b)), &[&x, &y])
             }
-        }
-    }
-
-    /// Apply a binary operator row-wise, mirroring
-    /// [`crate::interp`]'s `eval_binary_values` and the short-circuit
-    /// evaluation order for `&&`/`||`.
-    fn bin(&self, op: BinOp, a: Ev, b: Ev) -> Ev {
-        let n = self.n;
-        match op {
-            BinOp::And => {
-                let mut out = Ev::broadcast(n, Kind::Bool, 0.0);
-                for r in 0..n {
-                    let ta = a.truthy(r);
-                    // rhs only evaluates (and can only error) when the
-                    // lhs is truthy.
-                    out.err[r] = a.err[r] || (ta && b.err[r]);
-                    out.vals[r] = (ta && b.truthy(r)) as u8 as f64;
-                }
-                out
-            }
-            BinOp::Or => {
-                let mut out = Ev::broadcast(n, Kind::Bool, 0.0);
-                for r in 0..n {
-                    let ta = a.truthy(r);
-                    out.err[r] = a.err[r] || (!ta && b.err[r]);
-                    out.vals[r] = (ta || b.truthy(r)) as u8 as f64;
-                }
-                out
-            }
-            BinOp::Eq | BinOp::Ne => {
-                // `Value::equals`: null == null, cross-kind never equal,
-                // NaN != NaN. Never errors.
-                let mut out = Ev::broadcast(n, Kind::Bool, 0.0);
-                let same_kind = a.kind == b.kind;
-                for r in 0..n {
-                    out.err[r] = a.err[r] || b.err[r];
-                    let eq = match (a.valid[r], b.valid[r]) {
-                        (false, false) => true,
-                        (true, true) => same_kind && a.vals[r] == b.vals[r],
-                        _ => false,
-                    };
-                    out.vals[r] = (eq != (op == BinOp::Ne)) as u8 as f64;
-                }
-                out
-            }
-            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let mut out = Ev::broadcast(n, Kind::Bool, 0.0);
-                for r in 0..n {
-                    // "cannot order": null rows have no numeric view.
-                    out.err[r] = a.err[r] || b.err[r] || !a.valid[r] || !b.valid[r];
-                    let (x, y) = (a.vals[r], b.vals[r]);
-                    out.vals[r] = (match op {
-                        BinOp::Lt => x < y,
-                        BinOp::Le => x <= y,
-                        BinOp::Gt => x > y,
-                        BinOp::Ge => x >= y,
-                        _ => unreachable!(),
-                    }) as u8 as f64;
-                }
-                out
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
-                // String operands are compile-ineligible, so `+` is
-                // always arithmetic here; "arithmetic needs numbers" on
-                // null rows.
-                let mut out = Ev::broadcast(n, Kind::Num, 0.0);
-                for r in 0..n {
-                    out.err[r] = a.err[r] || b.err[r] || !a.valid[r] || !b.valid[r];
-                    let (x, y) = (a.vals[r], b.vals[r]);
-                    out.vals[r] = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        BinOp::Rem => x % y,
-                        _ => unreachable!(),
-                    };
-                }
-                out
-            }
-        }
+        })
     }
 
     /// Evaluate one fill's arguments and fold its per-row eligibility
     /// into `err_any` (a fill errors where its selection is live and a
     /// coordinate or weight is erroring or null).
-    fn fill_app<'a>(
+    fn fill_app(
         &self,
-        fill: &'a KFill,
-        sel: Option<Vec<bool>>,
-        lets: &[Ev],
+        fill: &KFill,
+        sel: Option<usize>,
+        masks: &[Lane<bool>],
+        lets: &mut Vec<Rc<Ev>>,
         err_any: &mut [bool],
-    ) -> FillApp<'a> {
+    ) -> FillApp {
         let x = self.eval(&fill.x, lets);
         let y = fill.y.as_ref().map(|y| self.eval(y, lets));
         let w = match &fill.w {
-            Weight::One => WeightApp::Scalar(1.0),
-            Weight::Const(w) => WeightApp::Scalar(*w),
+            Weight::Const(w) => WeightApp::Const(*w),
             Weight::Expr(e) => WeightApp::Expr(self.eval(e, lets)),
         };
-        for (r, err) in err_any.iter_mut().enumerate() {
-            if sel.as_ref().is_some_and(|s| !s[r]) {
-                continue;
-            }
-            let mut bad = x.err[r] || !x.valid[r];
-            if let Some(y) = &y {
-                bad |= y.err[r] || !y.valid[r];
-            }
-            if let WeightApp::Expr(w) = &w {
-                bad |= w.err[r] || !w.valid[r];
-            }
-            *err |= bad;
+        let mut args: Vec<&Ev> = vec![&*x];
+        args.extend(y.as_deref());
+        if let WeightApp::Expr(w) = &w {
+            args.push(w);
         }
-        FillApp { fill, sel, x, y, w }
+        let bad = any_bad(&args);
+        match sel {
+            Some(m) => or_assign(err_any, &masks[m].and(&bad)),
+            None => or_assign(err_any, &bad),
+        }
+        FillApp {
+            group: fill.group,
+            sel,
+            x,
+            y,
+            w,
+        }
+    }
+}
+
+/// Apply a binary operator row-wise, mirroring [`crate::interp`]'s
+/// `eval_binary_values` and the short-circuit evaluation order for
+/// `&&`/`||`.
+fn bin(op: BinOp, a: &Ev, b: &Ev) -> Ev {
+    match op {
+        BinOp::And | BinOp::Or => {
+            // rhs only evaluates (and can only error) where the lhs does
+            // not decide: where it is truthy for `&&`, falsy for `||`.
+            let (ta, tb) = (a.truthy(), b.truthy());
+            let (vals, rhs_runs) = if op == BinOp::And {
+                (ta.and(&tb), ta)
+            } else {
+                (ta.or(&tb), ta.map(|t| !t))
+            };
+            Ev::bools(vals, a.err.or(&rhs_runs.and(&b.err)))
+        }
+        BinOp::Eq | BinOp::Ne => {
+            // `Value::equals`: null == null, cross-kind never equal,
+            // NaN != NaN. Never errors.
+            let same_kind = a.kind == b.kind;
+            let differ = op == BinOp::Ne;
+            Ev::bools(
+                a.cells().zip(&b.cells(), |x, y| {
+                    let eq = match (x, y) {
+                        (None, None) => true,
+                        (Some(x), Some(y)) => same_kind && x == y,
+                        _ => false,
+                    };
+                    eq != differ
+                }),
+                a.err.or(&b.err),
+            )
+        }
+        BinOp::Lt => order(a, b, |x, y| x < y),
+        BinOp::Le => order(a, b, |x, y| x <= y),
+        BinOp::Gt => order(a, b, |x, y| x > y),
+        BinOp::Ge => order(a, b, |x, y| x >= y),
+        // String operands are compile-ineligible, so `+` is always
+        // arithmetic here.
+        BinOp::Add => arith(a, b, |x, y| x + y),
+        BinOp::Sub => arith(a, b, |x, y| x - y),
+        BinOp::Mul => arith(a, b, |x, y| x * y),
+        BinOp::Div => arith(a, b, |x, y| x / y),
+        BinOp::Rem => arith(a, b, |x, y| x % y),
+    }
+}
+
+// Generic over the operator so each one gets its own tight loop.
+fn arith(a: &Ev, b: &Ev, f: impl Fn(f64, f64) -> f64) -> Ev {
+    Ev::numeric(a.vals.zip(&b.vals, f), &[a, b])
+}
+
+/// "cannot order": null rows have no numeric view.
+fn order(a: &Ev, b: &Ev, f: impl Fn(f64, f64) -> bool) -> Ev {
+    Ev {
+        kind: Kind::Bool,
+        ..Ev::numeric(a.vals.zip(&b.vals, |x, y| f(x, y) as u8 as f64), &[a, b])
     }
 }
 
@@ -1021,12 +1382,21 @@ mod tests {
         )
     }
 
-    /// Drive `src` over `records` at the given fusion level and return
-    /// the host.
+    /// Drive `src` over `records` on the VM at the given fusion level and
+    /// return the host.
     fn run_mode(src: &str, records: &RecordBatch, fusion: ScriptFusion) -> AidaHost {
+        run_on(src, records, ScriptBackend::Vm, fusion)
+    }
+
+    fn run_on(
+        src: &str,
+        records: &RecordBatch,
+        backend: ScriptBackend,
+        fusion: ScriptFusion,
+    ) -> AidaHost {
         let program = compile(src).unwrap();
-        let mut engine = engine_for(&program, ScriptBackend::Vm, fusion).unwrap();
-        let mut kernel = (fusion == ScriptFusion::Kernel)
+        let mut engine = engine_for(&program, backend, fusion).unwrap();
+        let mut kernel = (backend == ScriptBackend::Vm && fusion == ScriptFusion::Kernel)
             .then(|| BatchKernel::compile(&program))
             .flatten();
         let columns = ColumnBatch::from_records(records).map(Arc::new);
@@ -1051,6 +1421,26 @@ mod tests {
     /// structural equality spuriously fails on any empty profile bin.
     fn dump(host: &AidaHost) -> String {
         format!("{:?}", host.tree)
+    }
+
+    /// `src` must lower to a kernel, and the kernel's tree over `records`
+    /// must render exactly as the unfused VM's and the tree-walk's.
+    fn assert_kernel_matches_scalar(src: &str, records: &RecordBatch) -> AidaHost {
+        let program = compile(src).unwrap();
+        assert!(
+            BatchKernel::compile(&program).is_some(),
+            "ineligible:\n{src}"
+        );
+        let vectorized = run_mode(src, records, ScriptFusion::Kernel);
+        let unfused = run_mode(src, records, ScriptFusion::Off);
+        let tree_walk = run_on(src, records, ScriptBackend::Interp, ScriptFusion::Off);
+        assert_eq!(dump(&vectorized), dump(&unfused), "vs unfused VM:\n{src}");
+        assert_eq!(dump(&vectorized), dump(&tree_walk), "vs tree-walk:\n{src}");
+        vectorized
+    }
+
+    fn ineligible(src: &str) -> bool {
+        BatchKernel::compile(&compile(src).unwrap()).is_none()
     }
 
     #[test]
@@ -1126,26 +1516,331 @@ mod tests {
     }
 
     #[test]
-    fn user_function_calls_are_ineligible() {
-        let src = "fn cut(p) { return p > 100; } fn process(t) { if cut(t.price) { fill(\"/x\", t.price); } }";
-        assert!(BatchKernel::compile(&compile(src).unwrap()).is_none());
+    fn helper_calls_inline_and_match_scalar_execution() {
+        // Nested helpers, a helper-local `let`, a parameter named like
+        // the caller's record, and a user function shadowing a builtin.
+        let src = r#"
+            let floor_price = 110.0;
+            fn init() { h1("/x", 20, 0.0, 400.0); h1("/y", 20, 0.0, 40.0); }
+            fn above(p, cut) { return p > cut; }
+            fn sqrt(t) { let half = t / 2; return half + floor_price / 100; }
+            fn cut(p, v) { return above(p, floor_price) && above(v, sqrt(p) - 20); }
+            fn process(t) {
+                if cut(t.price, t.volume) { fill("/x", t.price); }
+                fill("/y", sqrt(t.volume));
+            }
+        "#;
+        let host = assert_kernel_matches_scalar(src, &trades(257));
+        let filled = host.tree.get("/x").unwrap().entries();
+        assert!(0 < filled && filled < 257, "the cut must cut: {filled}");
     }
 
     #[test]
-    fn duplicate_fill_paths_are_ineligible() {
-        // Two fills into one path would reorder f64 accumulation.
-        let src = "fn process(t) { fill(\"/x\", t.price); fill(\"/x\", t.volume); }";
-        assert!(BatchKernel::compile(&compile(src).unwrap()).is_none());
+    fn constant_loops_unroll_and_match_scalar_execution() {
+        // The benchmark's cut flow: a helper per cut, the cuts in a global
+        // array indexed by the loop variable, four fills on one path. Plus
+        // a loop-local `let`, a nested loop, a fractional range, and the
+        // loop variable read after its loop.
+        let src = r#"
+            let cuts = [110.0, 150.0, 190.0, 230.0];
+            let flags = [true, null, 0];
+            fn init() {
+                h1("/flow", 4, 0.0, 4.0);
+                h1("/grid", 16, 0.0, 16.0);
+                h2("/h2", 4, 0.0, 4.0, 10, 0.0, 400.0);
+            }
+            fn passes(x, cut) { return x > cut; }
+            fn process(t) {
+                let p = t.price;
+                for i in 0..4 {
+                    if passes(p, cuts[i]) { fill("/flow", i); }
+                    let scaled = p * (i + 1);
+                    fill2("/h2", i, scaled / 4, i);
+                }
+                for a in 0.5..3 {
+                    for b in 0..a { fill("/grid", a * 4 + b, 0.25); }
+                }
+                if flags[0] && is_null(flags[1]) && !flags[2] { fill("/grid", a + i); }
+                for never in 3..3 { fill("/flow", nothing_here); }
+            }
+        "#;
+        let host = assert_kernel_matches_scalar(src, &trades(300));
+        assert_eq!(host.tree.get("/h2").unwrap().entries(), 4 * 300);
+        assert_eq!(
+            host.tree.get("/grid").unwrap().entries(),
+            (1 + 2 + 3 + 1) * 300
+        );
     }
 
     #[test]
-    fn loops_and_logging_are_ineligible() {
+    fn fills_sharing_a_path_accumulate_in_record_order() {
+        // 0.1 and 0.3 do not add associatively: (0.1 + 0.3) + 0.1 is not
+        // 0.1 + (0.3 + 0.1). Statement-major bulk fills would sum all the
+        // 0.1s and then all the 0.3s; the histogram must see them
+        // alternate, record by record, as the scalar loop feeds them.
+        let src = r#"
+            fn init() {
+                h1("/w", 1, 0.0, 1000.0);
+                h2("/w2", 1, 0.0, 1000.0, 1, 0.0, 1000.0);
+                prof("/wp", 1, 0.0, 1000.0);
+            }
+            fn process(t) {
+                fill("/w", t.price, 0.1);
+                fill2("/w2", t.price, t.volume, 0.1);
+                pfill("/wp", t.price, t.volume, 0.1);
+                if t.buyer_initiated { fill("/w", t.volume, t.price / 1000); }
+                fill("/w", t.volume, 0.3);
+                fill2("/w2", t.volume, t.price, 0.3);
+                pfill("/wp", t.volume, t.price, 0.3);
+            }
+        "#;
+        let records = trades(333);
+        let host = assert_kernel_matches_scalar(src, &records);
+        // The order matters for this very input: summed the other way
+        // round the bin height comes out different.
+        let height = host
+            .tree
+            .get("/w2")
+            .unwrap()
+            .as_h2()
+            .unwrap()
+            .bin_height(0, 0);
+        let statement_major =
+            (0..333).fold(0.0, |s, _| s + 0.1) + (0..333).fold(0.0, |s, _| s + 0.3);
+        let record_major = (0..333).fold(0.0, |s, _| (s + 0.1) + 0.3);
+        assert_eq!(height, record_major);
+        assert_ne!(height, statement_major);
+    }
+
+    /// Collider events whose `bb_mass` is null on every third row (no
+    /// b-tagged pair there).
+    fn events(n: usize) -> RecordBatch {
+        use ipa_dataset::{CollisionEvent, FourVector, Particle};
+        RecordBatch::new(
+            (0..n)
+                .map(|i| {
+                    let half = 40.0 + i as f64;
+                    AnyRecord::Event(CollisionEvent {
+                        event_id: i as u64,
+                        run: 1,
+                        sqrt_s: 500.0,
+                        is_signal: false,
+                        particles: if i % 3 == 0 {
+                            Vec::new()
+                        } else {
+                            vec![
+                                Particle::new(5, -1.0 / 3.0, FourVector::new(half, half, 0.0, 0.0)),
+                                Particle::new(
+                                    -5,
+                                    1.0 / 3.0,
+                                    FourVector::new(half, -half, 0.0, 0.0),
+                                ),
+                            ]
+                        },
+                    })
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn helper_argument_errors_count_only_where_the_call_runs() {
+        // Negating null is an error. On the right of `&&` (and of `||`)
+        // the call — argument evaluation included — runs only where the
+        // left side lets it, and `bb_mass` is null exactly on the rows
+        // the left side masks: the kernel must not stop the prefix at a
+        // row the scalar loop sails through.
+        let src = r#"
+            fn init() { h1("/m", 10, 0.0, 400.0); h1("/n", 2, 0.0, 2.0); }
+            fn ignores(x) { return true; }
+            fn process(e) {
+                let m = e.bb_mass;
+                if m != null && ignores(-m) { fill("/m", m); }
+                if m == null || ignores(-m) { fill("/n", 1); }
+            }
+        "#;
+        let records = events(60);
+        let host = assert_kernel_matches_scalar(src, &records);
+        assert_eq!(host.tree.get("/m").unwrap().entries(), 40);
+        assert_eq!(host.tree.get("/n").unwrap().entries(), 60);
+        // And the whole batch ran vectorized: no row was marked erroring.
+        let program = compile(src).unwrap();
+        let mut kernel = BatchKernel::compile(&program).unwrap();
+        let columns = Arc::new(ColumnBatch::from_records(&records).unwrap());
+        let mut host = AidaHost::new();
+        host.book_h1("/m", 10, 0.0, 400.0).unwrap();
+        host.book_h1("/n", 2, 0.0, 2.0).unwrap();
+        let prefix = kernel.run(&columns, 0..60, &|_| None, crate::DEFAULT_FUEL, &mut host);
+        assert_eq!(prefix, Some(60));
+
+        // Unmasked, the same argument error stops the prefix at the first
+        // null row (row 3, two rows into the range), where the VM will
+        // report it.
+        let src = r#"
+            fn ignores(x) { return true; }
+            fn process(e) { if ignores(-e.bb_mass) { fill("/m", 1); } }
+        "#;
+        let mut kernel = BatchKernel::compile(&compile(src).unwrap()).unwrap();
+        let prefix = kernel.run(&columns, 1..60, &|_| None, crate::DEFAULT_FUEL, &mut host);
+        assert_eq!(prefix, Some(2));
+    }
+
+    #[test]
+    fn constant_subexpressions_fold_while_lowering() {
+        // Literals, loop variables and what is computed from them alone
+        // reach the plan as constants: a weight the 2-D fills can carry,
+        // an index, a range bound.
+        let src = r#"
+            let cuts = [1, 2, 3, 4, 5, 6, 7];
+            fn init() { h2("/h2", 4, 0.0, 4.0, 4, 0.0, 400.0); }
+            fn twice(k) { return k * 2; }
+            fn process(t) {
+                for i in 1..twice(1) + 1 {
+                    fill2("/h2", cuts[twice(i) + 1], t.price, sqrt(16) / (i + 1));
+                }
+            }
+        "#;
+        let kernel = BatchKernel::compile(&compile(src).unwrap()).unwrap();
+        let mut weights = Vec::new();
+        for step in &kernel.plan.steps {
+            match step {
+                KStep::Fill(KFill {
+                    x: KExpr::Global(_),
+                    w: Weight::Const(w),
+                    ..
+                }) => weights.push(*w),
+                other => panic!("not folded: {other:?}"),
+            }
+        }
+        assert_eq!(weights, [2.0, 4.0 / 3.0]);
+        let elements: Vec<_> = kernel.plan.globals.iter().map(|g| g.index).collect();
+        assert_eq!(elements, [Some(3), Some(5)]);
+        assert_kernel_matches_scalar(src, &trades(50));
+    }
+
+    #[test]
+    fn what_cannot_expand_stays_ineligible() {
         for src in [
+            // Unbounded or data-dependent control flow, host calls.
             "fn process(t) { while t.volume > 0 { fill(\"/x\", 1); } }",
-            "fn process(t) { for i in 0..3 { fill(\"/x\", i); } }",
             "fn process(t) { log(t.price); }",
+            "fn process(t) { for i in 0..3 { if i == 1 { break; } fill(\"/x\", i); } }",
+            "fn process(t) { for i in 0..3 { continue; } }",
+            "fn process(t) { for i in 0..3 { i = 2; } }",
+            // Recursion, direct and mutual; wrong arity; a body that is
+            // more than `let`s and a `return`.
+            "fn f(x) { return f(x); } fn process(t) { fill(\"/x\", f(t.price)); }",
+            "fn f(x) { return g(x); } fn g(x) { return f(x); } fn process(t) { fill(\"/x\", f(1)); }",
+            "fn f(x, y) { return x; } fn process(t) { fill(\"/x\", f(t.price)); }",
+            "fn f(x) { if x > 1 { return 1; } return 0; } fn process(t) { fill(\"/x\", f(t.price)); }",
+            "fn f(x) { let y = x; } fn process(t) { fill(\"/x\", f(t.price)); }",
+            // The record cannot travel into a helper.
+            "fn f(r) { return r.price; } fn process(t) { fill(\"/x\", f(t)); }",
+            // Range bounds that are not constants; iterating an array.
+            "fn process(t) { for i in 0..t.volume { fill(\"/x\", i); } }",
+            "let n = 3; fn process(t) { for i in 0..n { fill(\"/x\", i); } }",
+            "let a = [1, 2]; fn process(t) { for x in a { fill(\"/x\", x); } }",
+            // Indices that vary, or that no array has.
+            "let a = [1, 2]; fn process(t) { fill(\"/x\", a[t.volume]); }",
+            "let a = [1, 2]; fn process(t) { fill(\"/x\", a[-1]); }",
+            "let a = [1, 2]; fn process(t) { fill(\"/x\", a[0 / 0]); }",
+            "fn process(t) { let a = 5; fill(\"/x\", a[0]); }",
+            // Past the expansion cap: too many iterations, too much
+            // nesting, a range that never ends.
+            "fn process(t) { for i in 0..5000 { fill(\"/x\", i); } }",
+            "fn process(t) { for i in 0..70 { for j in 0..70 { fill(\"/x\", i + j); } } }",
+            "fn process(t) { for i in 0..(1 / 0) { } }",
+            "fn process(t) { for i in (-1 / 0)..0 { } }",
         ] {
-            assert!(BatchKernel::compile(&compile(src).unwrap()).is_none());
+            assert!(ineligible(src), "{src}");
+        }
+        // Within the cap the same shapes are fine.
+        assert!(!ineligible(
+            "fn process(t) { for i in 0..20 { for j in 0..20 { fill(\"/x\", i + j); } } }"
+        ));
+    }
+
+    #[test]
+    fn a_constant_index_out_of_bounds_falls_back_and_the_vm_reports_it() {
+        // `cuts[3]` exists in no run: the element cannot resolve, so the
+        // kernel declines the batch untouched and the VM produces the
+        // error at the first record that reaches the read (volume 52 is
+        // row 2) — with that record's partial fills.
+        let src = r#"
+            let cuts = [1, 2, 3];
+            fn init() { h1("/x", 10, 0.0, 400.0); }
+            fn process(t) {
+                fill("/x", t.price);
+                for i in 0..4 {
+                    if t.volume == 52 && t.price > cuts[i] { fill("/x", i); }
+                }
+            }
+        "#;
+        let program = compile(src).unwrap();
+        assert!(BatchKernel::compile(&program).is_some());
+        let records = trades(6);
+        let columns = Arc::new(ColumnBatch::from_records(&records).unwrap());
+        let outcome = |backend, fusion| {
+            let mut engine = engine_for(&program, backend, fusion).unwrap();
+            let mut kernel = BatchKernel::compile(&program);
+            let mut host = AidaHost::new();
+            engine.run_init(&mut host).unwrap();
+            let (done, err) = run_fused(
+                engine.as_mut(),
+                kernel.as_mut().filter(|_| fusion == ScriptFusion::Kernel),
+                &records,
+                Some(&columns),
+                0..6,
+                &mut host,
+            );
+            (done, err.map(|e| e.to_string()), dump(&host))
+        };
+        let fused = outcome(ScriptBackend::Vm, ScriptFusion::Kernel);
+        assert_eq!(fused.0, 2);
+        assert!(
+            fused
+                .1
+                .as_deref()
+                .unwrap()
+                .contains("index 3 out of bounds"),
+            "{fused:?}"
+        );
+        assert_eq!(fused, outcome(ScriptBackend::Vm, ScriptFusion::Off));
+        assert_eq!(fused, outcome(ScriptBackend::Interp, ScriptFusion::Off));
+    }
+
+    #[test]
+    fn fuel_bound_counts_the_expanded_tree() {
+        // Every unrolled iteration and every inlined body is charged
+        // again: the bound grows with the trip count, and stays above
+        // what either backend really burns on a record.
+        let body = |n: usize| {
+            format!(
+                "fn init() {{ h1(\"/x\", 4, 0.0, 400.0); }}
+                 fn over(p, k) {{ let cut = k * 10; return p > cut; }}
+                 fn process(t) {{ for i in 0..{n} {{ if over(t.price, i) {{ fill(\"/x\", i); }} }} }}"
+            )
+        };
+        let cost = |n| {
+            BatchKernel::compile(&compile(&body(n)).unwrap())
+                .unwrap()
+                .cost()
+        };
+        assert!(cost(8) > cost(4) && cost(4) > cost(1));
+        assert_eq!(cost(8) - cost(4), cost(12) - cost(8));
+        let program = compile(&body(8)).unwrap();
+        let records = trades(3);
+        for (backend, fusion) in [
+            (ScriptBackend::Interp, ScriptFusion::Off),
+            (ScriptBackend::Vm, ScriptFusion::Off),
+            (ScriptBackend::Vm, ScriptFusion::Super),
+        ] {
+            let mut engine = engine_for(&program, backend, fusion).unwrap();
+            engine.set_fuel(cost(8));
+            let mut host = AidaHost::new();
+            engine.run_init(&mut host).unwrap();
+            let (done, err) = run_fused(engine.as_mut(), None, &records, None, 0..3, &mut host);
+            assert_eq!((done, err), (3, None), "{backend}/{fusion}");
         }
     }
 

@@ -409,17 +409,36 @@ fn render_program(
 }
 
 // ---------------------------------------------------------------------------
-// Kernel-shaped generation: straight-line `process` bodies of `let`
-// bindings over trade fields, guarded fills, and weighted fills — the
-// shape `BatchKernel::compile` targets — salted with constructs that are
-// deliberately *ineligible* (log calls, global mutation, string fields),
-// so the matrix exercises the vectorized path, the bind-time fallback,
-// and the compile-time fallback side by side.
+// Kernel-shaped generation: `process` bodies of `let` bindings over trade
+// fields, guarded fills, and weighted fills — the shape
+// `BatchKernel::compile` targets — written the way users write them:
+// helper functions, literal-range loops, a global constant array, several
+// fills on one path. Salted with constructs that are deliberately
+// *ineligible* (log calls, global mutation, string fields) or that only
+// fail at run time (an out-of-bounds element, a null one), so the matrix
+// exercises the expanded vectorized path, the run-time and bind-time
+// fallbacks, and the compile-time fallback side by side.
 
-/// Trade fields the generator reads. `symbol` is a string column (bind
-/// falls back), `absent` is not a field at all (reads null per record,
-/// missing column in the batch).
-const KFIELDS: [&str; 6] = [
+/// What one rendering of a generated body draws its names from.
+#[derive(Debug, Clone, Copy)]
+struct Palette {
+    /// Record fields `Field(i)` reads. The first four exist and hold
+    /// numbers or booleans; the last two are the salts: a string column
+    /// or a field no record has (bind falls back), or the like.
+    fields: [&'static str; 6],
+    /// Unsalted renderings keep to the first four fields and to `cuts`'
+    /// four elements and drop the compile-time-ineligible statements, so
+    /// that most of them reach the vectorized path.
+    salted: bool,
+    /// Rendering a loop body: `cuts[i]` has a constant index there. An
+    /// unsalted rendering reads `cuts[1]` elsewhere (`i` is then the
+    /// global, or what the last loop left — the salted renderings' job).
+    in_loop: bool,
+}
+
+/// Trades: every numeric field is always present. `symbol` is a string
+/// column, `absent` is not a field at all.
+const TRADE_FIELDS: [&str; 6] = [
     "price",
     "volume",
     "trade_id",
@@ -427,11 +446,39 @@ const KFIELDS: [&str; 6] = [
     "symbol",
     "absent",
 ];
+/// Collider events: `bb_mass` and `lead_pt` are null on some rows, so
+/// errors — and with them the kernel's prefix — depend on the row.
+const EVENT_FIELDS: [&str; 6] = [
+    "visible_energy",
+    "n_btags",
+    "bb_mass",
+    "is_signal",
+    "lead_pt",
+    "absent",
+];
 const KPATHS: [&str; 3] = ["/k/h0", "/k/h1", "/k/h2"];
 const KMATH1: [&str; 5] = ["abs", "floor", "ceil", "round", "sqrt"];
 const KBINOPS: [&str; 12] = [
     "+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "&&", "||",
 ];
+/// Two-parameter helpers the generated bodies call: a plain predicate,
+/// one with a `let` and a global read of its own, one that ignores an
+/// argument (whose errors must still count), one that calls another.
+const KHELPERS: [(&str, &str); 4] = [
+    ("above", "fn above(x, c) { return x > c; }"),
+    (
+        "scaled",
+        "fn scaled(x, k) { let twice = cut * 2; return x * twice + k; }",
+    ),
+    ("first", "fn first(a, b) { return a; }"),
+    (
+        "between",
+        "fn between(x, c) { return above(x, c) && !above(x, scaled(c, 1)); }",
+    ),
+];
+/// `cuts` has four elements — a number, a fraction, a boolean and a null
+/// — so index 4 is out of bounds.
+const KCUTS: &str = "let cuts = [2, 5.5, true, null];";
 
 #[derive(Debug, Clone)]
 enum KgExpr {
@@ -446,10 +493,17 @@ enum KgExpr {
     Not(Box<KgExpr>),
     IsNull(Box<KgExpr>),
     Math1(u8, Box<KgExpr>),
+    /// The loop variable `i`: the global of that name until a loop has
+    /// bound the local, and the loop's last value afterwards.
+    LoopVar,
+    /// `cuts[k]` at a literal index (4 is out of bounds), or `cuts[i]`.
+    CutAt(Option<u8>),
+    /// A call to one of [`KHELPERS`].
+    Helper(u8, Box<KgExpr>, Box<KgExpr>),
 }
 
 impl KgExpr {
-    fn render(&self, out: &mut String) {
+    fn render(&self, out: &mut String, pal: Palette) {
         match self {
             KgExpr::Num(n) => {
                 if *n < 0 {
@@ -460,36 +514,50 @@ impl KgExpr {
             }
             KgExpr::Field(i) => {
                 out.push_str("t.");
-                out.push_str(KFIELDS[*i as usize % KFIELDS.len()]);
+                out.push_str(pal.fields[*i as usize % if pal.salted { 6 } else { 4 }]);
             }
             KgExpr::Global => out.push_str("cut"),
             KgExpr::Local(i) => out.push_str(if i % 2 == 0 { "l0" } else { "l1" }),
             KgExpr::Bin(op, l, r) => {
                 out.push('(');
-                l.render(out);
+                l.render(out, pal);
                 out.push_str(&format!(" {} ", KBINOPS[*op as usize % KBINOPS.len()]));
-                r.render(out);
+                r.render(out, pal);
                 out.push(')');
             }
             KgExpr::Neg(e) => {
                 out.push_str("(-");
-                e.render(out);
+                e.render(out, pal);
                 out.push(')');
             }
             KgExpr::Not(e) => {
                 out.push_str("(!");
-                e.render(out);
+                e.render(out, pal);
                 out.push(')');
             }
             KgExpr::IsNull(e) => {
                 out.push_str("is_null(");
-                e.render(out);
+                e.render(out, pal);
                 out.push(')');
             }
             KgExpr::Math1(f, e) => {
                 out.push_str(KMATH1[*f as usize % KMATH1.len()]);
                 out.push('(');
-                e.render(out);
+                e.render(out, pal);
+                out.push(')');
+            }
+            KgExpr::LoopVar => out.push('i'),
+            KgExpr::CutAt(Some(k)) => {
+                out.push_str(&format!("cuts[{}]", k % if pal.salted { 5 } else { 4 }))
+            }
+            KgExpr::CutAt(None) if !pal.salted && !pal.in_loop => out.push_str("cuts[1]"),
+            KgExpr::CutAt(None) => out.push_str("cuts[i]"),
+            KgExpr::Helper(h, x, y) => {
+                out.push_str(KHELPERS[*h as usize % KHELPERS.len()].0);
+                out.push('(');
+                x.render(out, pal);
+                out.push_str(", ");
+                y.render(out, pal);
                 out.push(')');
             }
         }
@@ -509,17 +577,23 @@ enum KgStmt {
     Log(KgExpr),
     /// Compile-time ineligible: global mutation.
     GlobalBump,
+    /// `let l1 = expr;` — rebinds the second leading `let`, also from
+    /// inside a loop.
+    Rebind(KgExpr),
+    /// `for i in lo..lo+len { … }` over literal bounds (`len` 0 runs no
+    /// iteration).
+    Loop(u8, u8, Vec<KgStmt>),
 }
 
 impl KgStmt {
-    fn render(&self, out: &mut String) {
+    fn render(&self, out: &mut String, pal: Palette) {
         match self {
             KgStmt::Fill(p, x, w) => {
                 out.push_str(&format!(
                     "fill(\"{}\", ",
                     KPATHS[*p as usize % KPATHS.len()]
                 ));
-                x.render(out);
+                x.render(out, pal);
                 if let Some(w) = w {
                     out.push_str(&format!(", {w}"));
                 }
@@ -530,31 +604,48 @@ impl KgStmt {
                     "fill(\"{}\", ",
                     KPATHS[*p as usize % KPATHS.len()]
                 ));
-                x.render(out);
+                x.render(out, pal);
                 out.push_str(", ");
-                w.render(out);
+                w.render(out, pal);
                 out.push_str(");\n");
             }
             KgStmt::Guard(cond, fills) => {
                 out.push_str("if ");
-                cond.render(out);
+                cond.render(out, pal);
                 out.push_str(" {\n");
                 for (p, x) in fills {
                     out.push_str(&format!(
                         "fill(\"{}\", ",
                         KPATHS[*p as usize % KPATHS.len()]
                     ));
-                    x.render(out);
+                    x.render(out, pal);
                     out.push_str(");\n");
                 }
                 out.push_str("}\n");
             }
+            KgStmt::Log(_) | KgStmt::GlobalBump if !pal.salted => {}
             KgStmt::Log(e) => {
                 out.push_str("log(str(");
-                e.render(out);
+                e.render(out, pal);
                 out.push_str("));\n");
             }
             KgStmt::GlobalBump => out.push_str("seen = seen + 1;\n"),
+            KgStmt::Rebind(e) => {
+                out.push_str("let l1 = ");
+                e.render(out, pal);
+                out.push_str(";\n");
+            }
+            KgStmt::Loop(lo, len, body) => {
+                out.push_str(&format!("for i in {lo}..{} {{\n", lo + len));
+                let pal = Palette {
+                    in_loop: true,
+                    ..pal
+                };
+                for st in body {
+                    st.render(out, pal);
+                }
+                out.push_str("}\n");
+            }
         }
     }
 }
@@ -565,9 +656,17 @@ fn arb_kernel_expr() -> impl Strategy<Value = KgExpr> {
         (0u8..6).prop_map(KgExpr::Field),
         (0u8..2).prop_map(KgExpr::Local),
         (0u8..2).prop_map(|_| KgExpr::Global),
+        (0u8..1).prop_map(|_| KgExpr::LoopVar),
+        (0u8..5).prop_map(|k| KgExpr::CutAt(Some(k))),
+        (0u8..1).prop_map(|_| KgExpr::CutAt(None)),
     ];
     leaf.prop_recursive(3, 16, 2, |inner| {
         prop_oneof![
+            (0u8..4, inner.clone(), inner.clone()).prop_map(|(h, x, y)| KgExpr::Helper(
+                h,
+                Box::new(x),
+                Box::new(y)
+            )),
             (0u8..12, inner.clone(), inner.clone()).prop_map(|(op, l, r)| KgExpr::Bin(
                 op,
                 Box::new(l),
@@ -596,28 +695,80 @@ fn arb_kernel_body() -> impl Strategy<Value = Vec<KgStmt>> {
             .prop_map(|(c, f)| KgStmt::Guard(c, f)),
         arb_kernel_expr().prop_map(KgStmt::Log),
         (0u8..1).prop_map(|_| KgStmt::GlobalBump),
+        arb_kernel_expr().prop_map(KgStmt::Rebind),
+    ]
+    .boxed();
+    let looped = prop_oneof![
+        stmt.clone(),
+        stmt.clone(),
+        (0u8..3, 0u8..4, prop::collection::vec(stmt, 0..3))
+            .prop_map(|(lo, len, body)| KgStmt::Loop(lo, len, body)),
     ];
-    prop::collection::vec(stmt, 0..5)
+    prop::collection::vec(looped, 0..5)
 }
 
-fn render_kernel_program(l0: &KgExpr, l1: &KgExpr, body: &[KgStmt]) -> String {
+fn render_kernel_program(l0: &KgExpr, l1: &KgExpr, body: &[KgStmt], pal: Palette) -> String {
     let mut s = String::new();
-    s.push_str("let cut = 3;\nlet seen = 0;\n");
+    // A global `i` too: what the loop variable reads before any loop of
+    // `process` has bound the local of that name.
+    s.push_str("let cut = 3;\nlet seen = 0;\nlet i = 1;\n");
+    s.push_str(KCUTS);
+    s.push('\n');
+    for (_, helper) in KHELPERS {
+        s.push_str(helper);
+        s.push('\n');
+    }
     s.push_str("fn init() {\n");
     for p in KPATHS {
         s.push_str(&format!("h1(\"{p}\", 16, 0.0, 400.0);\n"));
     }
     s.push_str("}\n");
     s.push_str("fn process(t) {\nlet l0 = ");
-    l0.render(&mut s);
+    l0.render(&mut s, pal);
     s.push_str(";\nlet l1 = ");
-    l1.render(&mut s);
+    l1.render(&mut s, pal);
     s.push_str(";\n");
     for st in body {
-        st.render(&mut s);
+        st.render(&mut s, pal);
     }
     s.push_str("}\n");
     s
+}
+
+/// Collider events for the kernel-shaped bodies: every third has no
+/// b-tagged pair (`bb_mass` null), every seventh no particle at all
+/// (`lead_pt` null too).
+fn events(n: usize) -> RecordBatch {
+    RecordBatch::new(
+        (0..n)
+            .map(|i| {
+                let half = 20.0 + 3.0 * i as f64;
+                let flavour = if i % 3 == 2 { 1 } else { 5 };
+                AnyRecord::Event(CollisionEvent {
+                    event_id: i as u64,
+                    run: 3,
+                    sqrt_s: 500.0,
+                    is_signal: i % 4 == 1,
+                    particles: if i % 7 == 6 {
+                        Vec::new()
+                    } else {
+                        vec![
+                            Particle::new(
+                                flavour,
+                                -1.0 / 3.0,
+                                FourVector::new(half, half, 0.0, 0.0),
+                            ),
+                            Particle::new(
+                                -flavour,
+                                1.0 / 3.0,
+                                FourVector::new(half, -half, 0.0, 0.0),
+                            ),
+                        ]
+                    },
+                })
+            })
+            .collect(),
+    )
 }
 
 proptest! {
@@ -651,19 +802,33 @@ proptest! {
     }
 
     /// The fusion axis over the batch path: kernel-shaped random programs
-    /// (and near misses that must fall back) run over a uniform trade
-    /// part with its columnar transcode, in every mode. The kernel's
-    /// bulk fills, selection masks, and fallback boundaries must be
-    /// transcript-identical to per-record execution.
+    /// (and near misses that must fall back) run over a uniform part —
+    /// trades, or events with null cells — with its columnar transcode,
+    /// in every mode. The kernel's inlining and unrolling, bulk fills,
+    /// selection masks, and fallback boundaries must be
+    /// transcript-identical to per-record execution: the error's row,
+    /// message and line, the erroring record's partial fills, the
+    /// processed count.
     #[test]
     fn fusion_modes_agree_on_uniform_batches(
         l0 in arb_kernel_expr(),
         l1 in arb_kernel_expr(),
         body in arb_kernel_body(),
         n in 1usize..48,
+        of_events in any::<bool>(),
+        salted in any::<bool>(),
     ) {
-        let src = render_kernel_program(&l0, &l1, &body);
-        let records = trades(n);
+        let (fields, records) = if of_events {
+            (EVENT_FIELDS, events(n))
+        } else {
+            (TRADE_FIELDS, trades(n))
+        };
+        let pal = Palette {
+            fields,
+            salted,
+            in_loop: false,
+        };
+        let src = render_kernel_program(&l0, &l1, &body, pal);
         let want = batch_transcript(&src, MODES[0].0, MODES[0].1, &records);
         for (backend, fusion) in &MODES[1..] {
             let got = batch_transcript(&src, *backend, *fusion, &records);
